@@ -4,11 +4,11 @@
 // claims; they exist so performance regressions in the kernels are visible.
 //
 // Regression-harness mode (docs/PERF.md): `micro_sim --baseline [--out
-// BENCH_sim.json] [--reps N] [--smoke] [--threads 1,2,8]` times run_batch
-// on fixed topology × arbitration cases, checks that identical seeds give
-// identical results at every requested thread count, and writes a
-// machine-readable BENCH_sim.json so every PR has a tracked perf
-// trajectory.  Exits nonzero on a determinism violation.
+// BENCH_sim.json] [--reps N] [--smoke] [--threads 1,2,8]` times route,
+// flatten and run_batch on fixed topology × arbitration cases, checks that
+// identical seeds give identical results at every requested thread count,
+// and writes a machine-readable BENCH_sim.json so every PR has a tracked
+// perf trajectory.  Exits nonzero on a determinism violation.
 
 #include <benchmark/benchmark.h>
 
@@ -144,37 +144,57 @@ double seconds_since(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
-std::vector<std::vector<Vertex>> baseline_paths(const Machine& m,
-                                                std::size_t count,
-                                                std::uint64_t seed) {
-  Prng rng(seed);
-  BfsRouter router(m, /*spread=*/true);
-  const std::size_t n = m.graph.num_vertices();
-  std::vector<std::vector<Vertex>> paths;
-  paths.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Vertex src = static_cast<Vertex>(rng.below(n));
-    const Vertex dst = static_cast<Vertex>(rng.below(n));
-    paths.push_back(router.route(src, dst, rng));
-  }
-  return paths;
-}
-
-/// Time run_batch on one topology × arbitration case.
+/// Time route, flatten and run_batch on one topology × arbitration case:
+/// `messages` random (src, dst) pairs routed by a spreading BFS router.
 Json run_case(const char* topo_name, const Machine& machine, Arbitration arb,
-              int reps) {
+              std::size_t messages, int reps) {
   const std::size_t n = machine.graph.num_vertices();
-  const auto paths = baseline_paths(machine, 8 * n, 999);
   const PacketSimulator sim(machine, arb);
-  const auto batch = sim.prepare(paths);
+  BfsRouter router(machine, /*spread=*/true);
 
-  std::vector<double> wall_ms;
-  wall_ms.reserve(static_cast<std::size_t>(reps));
+  // Route: the same seeded pairs every rep, appended to one flat vertex
+  // list.  An untimed first pass fills the router's distance-field cache,
+  // so the reps time steady-state routing, as a calibrated trial sees it.
+  std::vector<Vertex> flat, path;
+  std::vector<std::size_t> offsets;
+  const auto route_all = [&] {
+    flat.clear();
+    offsets.assign(1, 0);
+    Prng rng(999);
+    for (std::size_t i = 0; i < messages; ++i) {
+      const Vertex src = static_cast<Vertex>(rng.below(n));
+      const Vertex dst = static_cast<Vertex>(rng.below(n));
+      router.route_append(src, dst, rng, path);
+      flat.insert(flat.end(), path.begin(), path.end());
+      offsets.push_back(flat.size());
+    }
+  };
+  route_all();
+  // Flatten: the paths into channel sequences, as measure_throughput's
+  // route_into does.
+  PacketSimulator::PreparedBatch batch;
+  const auto flatten_all = [&] {
+    batch = sim.prepare({});
+    batch.reserve(messages, flat.size());
+    for (std::size_t i = 0; i < messages; ++i) {
+      path.assign(flat.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+                  flat.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
+      sim.append(batch, path);
+    }
+  };
+
+  std::vector<double> route_ms, flatten_ms, wall_ms;
   BatchStats stats;
   double total_s = 0.0;
   for (int r = 0; r < reps; ++r) {
+    auto t0 = SteadyClock::now();
+    route_all();
+    route_ms.push_back(seconds_since(t0) * 1e3);
+    t0 = SteadyClock::now();
+    flatten_all();
+    flatten_ms.push_back(seconds_since(t0) * 1e3);
     Prng rng(777);  // per-rep reset: every rep simulates identical work
-    const auto t0 = SteadyClock::now();
+    t0 = SteadyClock::now();
     stats = sim.run_batch(batch, rng);
     const double s = seconds_since(t0);
     wall_ms.push_back(s * 1e3);
@@ -183,19 +203,35 @@ Json run_case(const char* topo_name, const Machine& machine, Arbitration arb,
 
   const double ticks = static_cast<double>(stats.makespan);
   const double reps_d = static_cast<double>(reps);
+  const double hops = static_cast<double>(stats.total_hops);
+  const double wall_p50 = scope::exact_quantile(wall_ms, 0.50);
+  const double route_p50 = scope::exact_quantile(route_ms, 0.50);
+  const double flatten_p50 = scope::exact_quantile(flatten_ms, 0.50);
   Json c = Json::object();
   c["topology"] = topo_name;
   c["arbitration"] = arbitration_name(arb);
   c["vertices"] = n;
-  c["messages"] = paths.size();
+  c["messages"] = messages;
+  c["total_hops"] = stats.total_hops;
+  c["kernel"] = sim.uses_sweep(batch) ? "sweep" : "queues";
   c["makespan"] = stats.makespan;
   c["rate"] = stats.rate();
-  c["wall_ms_p50"] = scope::exact_quantile(wall_ms, 0.50);
+  c["wall_ms_p50"] = wall_p50;
   c["wall_ms_p95"] = scope::exact_quantile(wall_ms, 0.95);
   c["ticks_per_sec"] = ticks * reps_d / total_s;
-  // The headline work metric: simulated message-ticks per wall second.
+  // Simulated message-ticks per wall second.  The queue kernel does not
+  // visit waiting messages, so this rises with less work, not faster work;
+  // ns_per_hop is the kernel-neutral unit, and visits_per_hop is the
+  // work per hop the per-tick sweep would do.
   c["msg_ticks_per_sec"] =
-      ticks * static_cast<double>(paths.size()) * reps_d / total_s;
+      ticks * static_cast<double>(messages) * reps_d / total_s;
+  c["visits_per_hop"] =
+      static_cast<double>(messages) * stats.avg_latency / hops;
+  c["ns_per_hop"] = wall_p50 * 1e6 / hops;
+  c["route_ms_p50"] = route_p50;
+  c["flatten_ms_p50"] = flatten_p50;
+  c["route_ns_per_hop"] = route_p50 * 1e6 / hops;
+  c["flatten_ns_per_hop"] = flatten_p50 * 1e6 / hops;
   return c;
 }
 
@@ -237,24 +273,32 @@ int run_baseline(const std::string& out_path, int reps, bool smoke,
   struct Topo {
     const char* name;
     Machine machine;
+    std::size_t messages;  // 0: 8 per vertex
   };
+  // Light-wait rows (mesh, butterfly: about three message-visits per hop)
+  // and heavy-wait rows (tree, and mesh8x8 at an estimate's calibrated
+  // batch size: 20-70), so the rows sit on both sides of the kernel
+  // choice.
   std::vector<Topo> topos;
   if (smoke) {
-    topos.push_back({"mesh16x16", make_mesh({16, 16})});
-    topos.push_back({"butterfly4", make_butterfly(4)});
-    topos.push_back({"tree7", make_tree(7)});
+    topos.push_back({"mesh16x16", make_mesh({16, 16}), 0});
+    topos.push_back({"butterfly4", make_butterfly(4), 0});
+    topos.push_back({"tree7", make_tree(7), 0});
   } else {
-    topos.push_back({"mesh32x32", make_mesh({32, 32})});
-    topos.push_back({"butterfly6", make_butterfly(6)});
-    topos.push_back({"tree9", make_tree(9)});
+    topos.push_back({"mesh32x32", make_mesh({32, 32}), 0});
+    topos.push_back({"butterfly6", make_butterfly(6), 0});
+    topos.push_back({"tree9", make_tree(9), 0});
   }
+  topos.push_back({"mesh8x8", make_mesh({8, 8}), 8192});
 
   Json cases = Json::array();
   const Arbitration arbs[] = {Arbitration::kFarthestFirst, Arbitration::kFifo,
                               Arbitration::kRandom};
   for (const Topo& t : topos) {
+    const std::size_t messages =
+        t.messages != 0 ? t.messages : 8 * t.machine.num_vertices();
     for (const Arbitration a : arbs) {
-      cases.items().push_back(run_case(t.name, t.machine, a, reps));
+      cases.items().push_back(run_case(t.name, t.machine, a, messages, reps));
       std::fprintf(stderr, "baseline: %s/%s done\n", t.name,
                    arbitration_name(a));
     }

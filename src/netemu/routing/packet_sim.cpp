@@ -1,8 +1,8 @@
 #include "netemu/routing/packet_sim.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "netemu/scope/metrics.hpp"
 
@@ -39,39 +39,97 @@ void record_batch_volume(std::uint64_t ticks, std::uint64_t messages) {
   sim_messages_counter().add(messages);
 }
 
-// Arbitration policies as key functors: each maps an active-list SLOT to a
-// packed 64-bit priority key (smaller == higher priority), snapshotted when
-// the slot is scattered into its bucket.  Selection is then a branchless
-// integer min — no pointer chasing inside nth_element comparators.
-//
-// Slots, not message ids: compaction is stable and the initial slot order
-// is message order, so the slot in the key's low 32 bits doubles as the
-// deterministic message-index tie-break.  All three orders are strict and
-// total, so the winner SET per channel is deterministic (and identical
-// whether selected by nth_element or a linear min-scan), matching the
-// reference comparators "greater remaining, tie smaller index" /
-// "smaller index" / "smaller key, tie smaller index" exactly.
-struct FarthestFirstKey {
-  const std::uint32_t* remaining;  // per-slot hops still to go
-  std::uint64_t operator()(std::uint32_t j) const {
-    // ~remaining: more hops left -> smaller key -> wins.
-    return (static_cast<std::uint64_t>(~remaining[j]) << 32) | j;
+BatchStats batch_totals(const PacketSimulator::PreparedBatch& batch) {
+  BatchStats stats;
+  stats.static_congestion = batch.static_congestion();
+  stats.total_hops = batch.total_hops();
+  stats.delivered = batch.size();
+  return stats;
+}
+
+BatchStats finish_batch(BatchStats stats, std::uint64_t ticks,
+                        std::uint64_t latency_sum) {
+  record_batch_volume(ticks, stats.delivered);
+  stats.avg_latency = stats.delivered == 0
+                          ? 0.0
+                          : static_cast<double>(latency_sum) /
+                                static_cast<double>(stats.delivered);
+  return stats;
+}
+
+// Amortized cancellation poll: one AND + branch per tick, a clock / flag
+// read every kCancelCheckTicks.  The partial volume is recorded before
+// unwinding so reclaimed-CPU accounting sees the ticks burned.
+inline void poll_cancel(std::uint64_t tick, std::uint64_t delivered,
+                        const CancelToken& cancel) {
+  if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
+    record_batch_volume(tick, delivered);
+    throw CancelledError("run_batch cancelled at tick " +
+                         std::to_string(tick));
   }
-};
+}
 
-struct FifoKey {
-  std::uint64_t operator()(std::uint32_t j) const { return j; }
-};
+#if defined(__GNUC__) || defined(__clang__)
+inline void prefetch_rw(const void* a) { __builtin_prefetch(a, 1, 3); }
+#else
+inline void prefetch_rw(const void*) {}
+#endif
 
-struct RandomKey {
-  const std::uint32_t* key;  // per-slot arbitration keys
-  std::uint64_t operator()(std::uint32_t j) const {
-    return (static_cast<std::uint64_t>(key[j]) << 32) | j;
+// Arbitration order.  Every policy is a packed 64-bit priority key,
+// smaller wins: the high word is ~hops-left (farthest-first), the key drawn
+// for the message (random) or 0 (fifo); the low word is the message's
+// index (the sweep uses its slot, which compaction keeps in message order).
+// These are the reference comparators "more hops left, tie smaller index" /
+// "smaller index" / "smaller key, tie smaller index" exactly, and all three
+// are strict total orders, so each tick's winner set is unique.
+
+// Light-wait rule.  The sweep visits every waiting message once a tick; the
+// queues pay a heap push and pop per hop, worth several visits.  So the
+// sweep wins when messages barely wait, and how long they wait is known
+// before tick 1 from the batch's static congestion: m x congestion /
+// total_hops tracks visits per hop.  Unit-capacity batches below this ratio
+// run the sweep.  The measured crossover on mesh, butterfly and CCC batches
+// is 10-17; the margin keeps the queues to batches they clearly win
+// (docs/PERF.md, "Tick-loop design").
+constexpr std::uint64_t kSweepWaitRatio = 20;
+
+// A domain's waiting messages: a binary min-heap of message ids, ordered by
+// their packed keys.  A key never changes while its message waits, so it is
+// derived from the message's state on demand rather than stored, and a
+// heap entry is 4 bytes.
+template <class KeyOf>
+void heap_sift_up(std::uint32_t* a, std::size_t i, std::uint32_t id,
+                  const KeyOf& key_of) {
+  const std::uint64_t key = key_of(id);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (key_of(a[parent]) < key) break;
+    a[i] = a[parent];
+    i = parent;
   }
-};
+  a[i] = id;
+}
 
-constexpr std::uint32_t slot_of(std::uint64_t packed) {
-  return static_cast<std::uint32_t>(packed);
+// Remove and return the top of the n-entry heap `a`.  Bottom-up: walk the
+// hole from the root to a leaf along the smaller children (a size-bound
+// loop with a branch-free child choice), then sift the last id up from
+// that leaf, which rarely climbs far.
+template <class KeyOf>
+std::uint32_t heap_pop(std::uint32_t* a, std::size_t n, const KeyOf& key_of) {
+  const std::uint32_t top = a[0];
+  --n;
+  std::size_t i = 0;
+  for (std::size_t c = 1; c + 1 < n; c = 2 * i + 1) {
+    c += key_of(a[c + 1]) < key_of(a[c]);
+    a[i] = a[c];
+    i = c;
+  }
+  if (2 * i + 2 == n) {  // a lone last child
+    a[i] = a[2 * i + 1];
+    i = 2 * i + 1;
+  }
+  heap_sift_up(a, i, a[n], key_of);
+  return top;
 }
 
 }  // namespace
@@ -97,7 +155,7 @@ const char* arbitration_name(Arbitration a) {
 
 PacketSimulator::PacketSimulator(const Machine& machine,
                                  Arbitration arbitration)
-    : machine_(machine), arbitration_(arbitration) {
+    : arbitration_(arbitration) {
   const Multigraph& g = machine.graph;
   const std::size_t n = g.num_vertices();
   arc_base_.assign(n + 1, 0);
@@ -107,7 +165,6 @@ PacketSimulator::PacketSimulator(const Machine& machine,
   const std::size_t channels = arc_base_[n];
   arc_to_.resize(channels);
   channel_cap_.resize(channels);
-  channel_tail_.resize(channels);
   for (std::size_t v = 0; v < n; ++v) {
     // Sort each vertex's outgoing channels by head so channel_of can
     // binary-search.
@@ -119,11 +176,38 @@ PacketSimulator::PacketSimulator(const Machine& machine,
       const std::size_t c = arc_base_[v] + i;
       arc_to_[c] = sorted[i].to;
       channel_cap_[c] = sorted[i].mult;
-      channel_tail_[c] = static_cast<Vertex>(v);
     }
   }
-  all_unit_cap_ = std::all_of(channel_cap_.begin(), channel_cap_.end(),
-                              [](std::uint32_t cap) { return cap == 1; });
+
+  // Arbitration domains: every channel is its own domain, except that the
+  // out-channels of a node whose forward_cap can bind (it is below the
+  // node's total wires) share one domain, numbered after the channels.
+  domain_of_.resize(channels);
+  for (std::uint32_t c = 0; c < channels; ++c) domain_of_[c] = c;
+  for (std::size_t v = 0; v < machine.forward_cap.size(); ++v) {
+    const std::uint32_t cap = machine.forward_cap[v];
+    std::uint64_t wires = 0;
+    for (std::size_t c = arc_base_[v]; c < arc_base_[v + 1]; ++c) {
+      wires += channel_cap_[c];
+    }
+    if (cap == kUnlimitedForward || cap >= wires) continue;
+    const auto d = static_cast<std::uint32_t>(channels + node_cap_.size());
+    for (std::size_t c = arc_base_[v]; c < arc_base_[v + 1]; ++c) {
+      domain_of_[c] = d;
+    }
+    node_cap_.push_back(cap);
+    node_multi_ = node_multi_ || cap > 1;
+  }
+  sweep_capable_ =
+      node_cap_.empty() &&
+      std::all_of(channel_cap_.begin(), channel_cap_.end(),
+                  [](std::uint32_t cap) { return cap == 1; });
+}
+
+bool PacketSimulator::uses_sweep(const PreparedBatch& batch) const {
+  return sweep_capable_ &&
+         batch.size() * batch.static_congestion() <
+             kSweepWaitRatio * batch.total_hops();
 }
 
 std::uint32_t PacketSimulator::channel_of(Vertex u, Vertex v) const {
@@ -160,377 +244,279 @@ PacketSimulator::PreparedBatch PacketSimulator::prepare(
   return batch;
 }
 
-namespace {
-#if defined(__GNUC__) || defined(__clang__)
-inline void prefetch_rw(const void* a) { __builtin_prefetch(a, 1, 3); }
-#else
-inline void prefetch_rw(const void*) {}
-#endif
-}  // namespace
-
-template <class PriorityFactory>
-BatchStats PacketSimulator::run_batch_impl(
-    const PreparedBatch& batch, const PriorityFactory& make_priority,
-    const std::uint32_t* rand_key_by_msg, const CancelToken& cancel) const {
-  cancel.check();  // a pre-cancelled batch never starts
-  BatchStats stats;
+template <Arbitration kPolicy>
+BatchStats PacketSimulator::run_sweep(const PreparedBatch& batch,
+                                      const std::uint32_t* rand_key_by_msg,
+                                      const CancelToken& cancel) const {
+  BatchStats stats = batch_totals(batch);
   const std::size_t m = batch.size();
   const std::uint32_t* seq = batch.seq_.data();
   const std::uint32_t* seq_off = batch.seq_off_.data();
-  stats.static_congestion = batch.static_congestion_;
-  stats.total_hops = batch.seq_.size();
-  stats.delivered = m;
 
-  // Active messages as parallel slot arrays (struct-of-arrays): the per-tick
-  // passes then read sequentially instead of chasing per-message state
-  // through m-sized arrays.  Stable compaction keeps slots sorted by message
-  // id, so slot order doubles as the deterministic tie-break order and the
-  // random keys travel with their slot.
-  const bool has_key = rand_key_by_msg != nullptr;
+  // Active messages as parallel slot arrays (struct-of-arrays), compacted
+  // stably so slot order stays message order: the slot in a key's low word
+  // is then the message-index tie-break, and random keys travel with it.
+  constexpr bool kHasKey = kPolicy == Arbitration::kRandom;
   std::size_t na = 0;
   std::vector<std::uint32_t> act_cursor(m);  // absolute index into seq
   std::vector<std::uint32_t> act_rem(m);     // hops still to go
   std::vector<std::uint32_t> act_cur(m);     // seq[act_cursor], cached
-  std::vector<std::uint32_t> act_key(has_key ? m : 0);
+  std::vector<std::uint32_t> act_key(kHasKey ? m : 0);
   for (std::uint32_t i = 0; i < m; ++i) {
     const std::uint32_t len = seq_off[i + 1] - seq_off[i];
     if (len == 0) continue;  // zero-hop: delivered at tick 0 with latency 0
     act_cursor[na] = seq_off[i];
     act_rem[na] = len;
     act_cur[na] = seq[seq_off[i]];
-    if (has_key) act_key[na] = rand_key_by_msg[i];
+    if (kHasKey) act_key[na] = rand_key_by_msg[i];
     ++na;
   }
-
-  // The key functors read act_rem / act_key, which this loop owns and keeps
-  // current — hence the factory indirection.  The vectors never reallocate,
-  // so the captured pointers stay valid.
-  const auto priority_key = make_priority(act_rem.data(), act_key.data());
-
-  // Flat counting-sort scratch, sized once for the whole run.  count[] is
-  // maintained all-zero between ticks (only touched channels are reset), so
-  // a tick costs O(active + touched), never O(channels).
-  constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
-  const std::size_t num_ch = channel_cap_.size();
-  // Per-channel request count (low 32 bits) and bucket offset (high 32
-  // bits) share one word, so the per-slot hot passes do a single random
-  // access per channel instead of two.
-  std::vector<std::uint64_t> count_base(num_ch, 0);
-  std::vector<std::uint32_t> touched;
-  touched.reserve(std::min(num_ch, na) + 1);
-  std::vector<std::uint32_t> contended;      // channels with cnt > cap
-  std::vector<std::uint32_t> contended_cnt;  // their request counts
-  const bool node_capped_early = !machine_.forward_cap.empty();
-  const bool unit_fast = !node_capped_early && all_unit_cap_;
-  std::vector<std::uint64_t> bucket(unit_fast ? 0 : na);  // grouped packed keys
-
-  const bool node_capped = node_capped_early;
-  const std::size_t num_nodes = node_capped ? machine_.graph.num_vertices() : 0;
-  std::vector<std::uint32_t> node_count(num_nodes, 0);
-  std::vector<std::uint32_t> node_base(num_nodes);
-  std::vector<Vertex> touched_nodes;
-  std::vector<std::uint64_t> winners(node_capped ? na : 0);
-  std::vector<std::uint64_t> node_bucket(node_capped ? na : 0);
-  if (node_capped) touched_nodes.reserve(std::min(num_nodes, na) + 1);
-
-  std::uint64_t tick = 0;
-  double latency_sum = 0.0;
-  std::uint32_t delivered_this_tick = 0;
-
-  const auto advance = [&](std::uint32_t j) {
-    const std::uint32_t cursor = ++act_cursor[j];
-    if (--act_rem[j] == 0) {
-      latency_sum += static_cast<double>(tick);
-      stats.makespan = tick;
-      ++delivered_this_tick;
+  // The arrays never reallocate, so the key reads go through fixed
+  // pointers.
+  const std::uint32_t* const rem = act_rem.data();
+  const std::uint32_t* const rand_key = act_key.data();
+  const auto priority_key = [rem, rand_key](std::uint32_t j) -> std::uint64_t {
+    if constexpr (kPolicy == Arbitration::kFarthestFirst) {
+      return (static_cast<std::uint64_t>(~rem[j]) << 32) | j;
+    } else if constexpr (kHasKey) {
+      return (static_cast<std::uint64_t>(rand_key[j]) << 32) | j;
     } else {
-      act_cur[j] = seq[cursor];
+      return j;
     }
   };
 
-  if (unit_fast) {
-    // Unit-capacity machines (every channel a single wire -- mesh,
-    // butterfly, tree, ...): a requested channel advances exactly one
-    // message, the one with the minimum priority key, so a running min held
-    // directly in count_base replaces counting, bucketing and selection.
-    // And because next tick's keys are final once this tick's advances are
-    // done, the mins for tick T+1 are computed in the same end-of-tick pass
-    // that compacts the slot arrays -- ONE sweep over the slots per tick.
-    // Keys are biased by +1 so 0 keeps meaning "channel not requested" (no
-    // key reaches ~0, see the key functors, so the bias cannot wrap).
-    const auto sweep_min = [&](std::uint32_t j) {
-      const std::uint32_t c = act_cur[j];
-      const std::uint64_t k = priority_key(j) + 1;
-      const std::uint64_t v = count_base[c];
-      if (v == 0) {
-        touched.push_back(c);
-        count_base[c] = k;
-      } else if (k < v) {
-        count_base[c] = k;
-      }
-    };
-    for (std::size_t j = 0; j < na; ++j) {
-      if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-      sweep_min(static_cast<std::uint32_t>(j));
-    }
-    while (!touched.empty()) {
-      ++tick;
-      // Amortized cancellation poll: one AND + branch per tick, a clock /
-      // flag read every kCancelCheckTicks.  The partial volume is recorded
-      // before unwinding so reclaimed-CPU accounting sees the ticks burned.
-      if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
-        record_batch_volume(tick, static_cast<std::uint64_t>(m - na));
-        throw CancelledError("run_batch cancelled at tick " +
-                             std::to_string(tick));
-      }
-      delivered_this_tick = 0;
-      for (const std::uint32_t c : touched) {
-        advance(slot_of(count_base[c] - 1));
-        count_base[c] = 0;  // restore the all-zero invariant
-      }
-      touched.clear();
-      if (delivered_this_tick == 0) {
-        for (std::size_t j = 0; j < na; ++j) {
-          if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-          sweep_min(static_cast<std::uint32_t>(j));
-        }
-      } else {
-        // Compact stably while recomputing the mins: slot order stays
-        // message order (the deterministic tie-break), and keys embed the
-        // POST-compaction slot index -- exactly what selection reads.
-        std::size_t keep = 0;
-        for (std::size_t j = 0; j < na; ++j) {
-          if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-          if (act_rem[j] == 0) continue;
-          act_cursor[keep] = act_cursor[j];
-          act_rem[keep] = act_rem[j];
-          act_cur[keep] = act_cur[j];
-          if (has_key) act_key[keep] = act_key[j];
-          sweep_min(static_cast<std::uint32_t>(keep));
-          ++keep;
-        }
-        na = keep;
-      }
-    }
-    record_batch_volume(tick, m);
-    stats.avg_latency = m == 0 ? 0.0 : latency_sum / static_cast<double>(m);
-    return stats;
-  }
-
-  // General machines (multi-wire channels and/or node forwarding caps):
-  // count the initial tick's requests; later ticks recount during the
-  // compaction pass (the request channels for tick T+1 are exactly act_cur
-  // after tick T's advances), saving a full pass per tick.
-  for (std::size_t j = 0; j < na; ++j) {
+  // A requested channel advances exactly one message, the one with the
+  // minimum key, so a per-channel running min replaces counting and
+  // selection.  Next tick's keys are final once this tick's advances are
+  // done, so the mins for tick T+1 are taken in the same end-of-tick pass
+  // that compacts the slots: ONE sweep over the slots per tick.  Keys are
+  // biased by +1 so 0 keeps meaning "channel not requested" (no key reaches
+  // ~0, so the bias cannot wrap).
+  std::vector<std::uint64_t> min_key(channel_cap_.size(), 0);
+  std::vector<std::uint32_t> touched;
+  touched.reserve(std::min(channel_cap_.size(), na) + 1);
+  const auto sweep_min = [&](std::uint32_t j) {
     const std::uint32_t c = act_cur[j];
-    if (static_cast<std::uint32_t>(count_base[c]++) == 0) touched.push_back(c);
+    const std::uint64_t k = priority_key(j) + 1;
+    const std::uint64_t v = min_key[c];
+    if (v == 0) {
+      touched.push_back(c);
+      min_key[c] = k;
+    } else if (k < v) {
+      min_key[c] = k;
+    }
+  };
+  for (std::size_t j = 0; j < na; ++j) {
+    if (j + 8 < na) prefetch_rw(&min_key[act_cur[j + 8]]);
+    sweep_min(static_cast<std::uint32_t>(j));
   }
 
-  while (na > 0) {
+  std::uint64_t tick = 0;
+  std::uint64_t latency_sum = 0;
+  while (!touched.empty()) {
     ++tick;
-    if ((tick & (kCancelCheckTicks - 1)) == 0 && cancel.cancelled()) {
-      record_batch_volume(tick, static_cast<std::uint64_t>(m - na));
-      throw CancelledError("run_batch cancelled at tick " +
-                           std::to_string(tick));
-    }
-    delivered_this_tick = 0;
-
-    // Bucket offsets.  Without a node cap, only CONTENDED channels
-    // (cnt > cap) need arbitration -- everyone else advances in place during
-    // the scatter pass, skipping bucketing and selection entirely.  That is
-    // the common case for most of a batch's drain.  With a node cap every
-    // channel winner must still face the per-node round, so all go through
-    // buckets.
-    contended.clear();
-    contended_cnt.clear();
-    std::uint32_t running = 0;
-    // The count half is zeroed here; bucketed channels reuse it as an
-    // ascending scatter cursor (re-zeroed after arbitration), so slots on
-    // uncontended channels need no store at all in the scatter pass.
-    if (!node_capped) {
-      for (const std::uint32_t c : touched) {
-        const std::uint32_t cnt = static_cast<std::uint32_t>(count_base[c]);
-        std::uint32_t b = kNoBucket;
-        if (cnt > channel_cap_[c]) {
-          b = running;
-          running += cnt;
-          contended.push_back(c);
-          contended_cnt.push_back(cnt);
-        }
-        count_base[c] = static_cast<std::uint64_t>(b) << 32;
-      }
-    } else {
-      for (const std::uint32_t c : touched) {
-        const std::uint32_t cnt = static_cast<std::uint32_t>(count_base[c]);
-        count_base[c] = static_cast<std::uint64_t>(running) << 32;
-        running += cnt;
-        contended.push_back(c);
-        contended_cnt.push_back(cnt);
-      }
-    }
-    // Scatter pass: advance uncontended slots in place; snapshot the rest
-    // as packed priority keys in their channel's bucket slice, cursored by
-    // the count half.
-    for (std::size_t j = 0; j < na; ++j) {
-      if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-      const std::uint32_t c = act_cur[j];
-      const std::uint64_t v = count_base[c];
-      const std::uint32_t b = static_cast<std::uint32_t>(v >> 32);
-      if (b == kNoBucket) {
-        advance(static_cast<std::uint32_t>(j));  // read-only: no store
+    poll_cancel(tick, m - na, cancel);
+    bool delivered = false;
+    for (const std::uint32_t c : touched) {
+      const std::uint32_t j = static_cast<std::uint32_t>(min_key[c] - 1);
+      min_key[c] = 0;  // restore the all-zero invariant
+      const std::uint32_t cursor = ++act_cursor[j];
+      if (--act_rem[j] == 0) {
+        latency_sum += tick;
+        stats.makespan = tick;
+        delivered = true;
       } else {
-        bucket[b + static_cast<std::uint32_t>(v)] =
-            priority_key(static_cast<std::uint32_t>(j));
-        count_base[c] = v + 1;  // cursor in the count half
+        act_cur[j] = seq[cursor];
       }
     }
-
-    // Arbitrate each bucketed channel in place on its slice.  Keys were
-    // snapshotted before any advance of a bucketed slot (a slot sits in at
-    // most one bucket), so selection over them matches the reference
-    // live-comparator order exactly.
-    if (!node_capped) {
-      for (std::size_t t = 0; t < contended.size(); ++t) {
-        std::uint64_t* req =
-            bucket.data() + (count_base[contended[t]] >> 32);
-        count_base[contended[t]] = 0;  // restore the all-zero invariant
-        const std::uint32_t cnt = contended_cnt[t];
-        const std::uint32_t cap = channel_cap_[contended[t]];
-        if (cap == 1) {
-          // Unit multiplicity dominates: a linear min-scan picks the same
-          // unique winner as nth_element without its overhead.
-          std::uint64_t best = req[0];
-          for (std::uint32_t k = 1; k < cnt; ++k) {
-            if (req[k] < best) best = req[k];
-          }
-          advance(slot_of(best));
-        } else {
-          std::nth_element(req, req + (cap - 1), req + cnt);
-          for (std::uint32_t k = 0; k < cap; ++k) advance(slot_of(req[k]));
-        }
-      }
-    } else {
-      // Channel winners feed a second counting-sort round over tail nodes
-      // (weak machines: a node forwards at most forward_cap messages/tick).
-      std::uint32_t nw = 0;
-      for (std::size_t t = 0; t < contended.size(); ++t) {
-        std::uint64_t* req =
-            bucket.data() + (count_base[contended[t]] >> 32);
-        count_base[contended[t]] = 0;  // restore the all-zero invariant
-        std::uint32_t cnt = contended_cnt[t];
-        const std::uint32_t cap = channel_cap_[contended[t]];
-        if (cnt > cap) {
-          if (cap == 1) {
-            std::uint64_t best = req[0];
-            for (std::uint32_t k = 1; k < cnt; ++k) {
-              if (req[k] < best) best = req[k];
-            }
-            req[0] = best;
-          } else {
-            std::nth_element(req, req + (cap - 1), req + cnt);
-          }
-          cnt = cap;
-        }
-        for (std::uint32_t k = 0; k < cnt; ++k) winners[nw++] = req[k];
-      }
-
-      // Keys stay valid through the node round: channel winners are not
-      // advanced until node arbitration completes.
-      touched_nodes.clear();
-      for (std::uint32_t k = 0; k < nw; ++k) {
-        const Vertex tail = channel_tail_[act_cur[slot_of(winners[k])]];
-        if (node_count[tail]++ == 0) touched_nodes.push_back(tail);
-      }
-      running = 0;
-      for (const Vertex v : touched_nodes) {
-        node_base[v] = running;
-        running += node_count[v];
-        node_count[v] = 0;
-      }
-      for (std::uint32_t k = 0; k < nw; ++k) {
-        const Vertex tail = channel_tail_[act_cur[slot_of(winners[k])]];
-        node_bucket[node_base[tail] + node_count[tail]++] = winners[k];
-      }
-      for (const Vertex v : touched_nodes) {
-        std::uint64_t* req = node_bucket.data() + node_base[v];
-        std::uint32_t cnt = node_count[v];
-        node_count[v] = 0;
-        const std::uint32_t cap = machine_.forward_cap[v];
-        if (cap != kUnlimitedForward && cnt > cap) {
-          std::nth_element(req, req + (cap - 1), req + cnt);
-          cnt = cap;
-        }
-        for (std::uint32_t k = 0; k < cnt; ++k) advance(slot_of(req[k]));
-      }
-    }
-
-    // Compaction + recount, fused: one pass rebuilds next tick's request
-    // counts while (only when something delivered) compacting the slot
-    // arrays stably in place.  Stability keeps slot order == message order,
-    // which the packed keys use as the deterministic tie-break.
     touched.clear();
-    if (delivered_this_tick > 0) {
-      std::size_t keep = 0;
+    if (!delivered) {
       for (std::size_t j = 0; j < na; ++j) {
-        if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-        if (act_rem[j] > 0) {
-          const std::uint32_t c = act_cur[j];
-          act_cursor[keep] = act_cursor[j];
-          act_rem[keep] = act_rem[j];
-          act_cur[keep] = c;
-          if (has_key) act_key[keep] = act_key[j];
-          ++keep;
-          if (static_cast<std::uint32_t>(count_base[c]++) == 0) {
-            touched.push_back(c);
+        if (j + 8 < na) prefetch_rw(&min_key[act_cur[j + 8]]);
+        sweep_min(static_cast<std::uint32_t>(j));
+      }
+      continue;
+    }
+    // Compact stably while recomputing the mins: keys embed the
+    // POST-compaction slot index, exactly what selection reads.
+    std::size_t keep = 0;
+    for (std::size_t j = 0; j < na; ++j) {
+      if (j + 8 < na) prefetch_rw(&min_key[act_cur[j + 8]]);
+      if (act_rem[j] == 0) continue;
+      act_cursor[keep] = act_cursor[j];
+      act_rem[keep] = act_rem[j];
+      act_cur[keep] = act_cur[j];
+      if (kHasKey) act_key[keep] = act_key[j];
+      sweep_min(static_cast<std::uint32_t>(keep));
+      ++keep;
+    }
+    na = keep;
+  }
+  return finish_batch(stats, tick, latency_sum);
+}
+
+template <Arbitration kPolicy>
+BatchStats PacketSimulator::run_queues(const PreparedBatch& batch,
+                                       const std::uint32_t* rand_key_by_msg,
+                                       const CancelToken& cancel) const {
+  BatchStats stats = batch_totals(batch);
+  const std::size_t m = batch.size();
+  const std::uint32_t* seq = batch.seq_.data();
+  const std::uint32_t* seq_off = batch.seq_off_.data();
+  const std::uint32_t* domain_of = domain_of_.data();
+  const std::size_t num_ch = channel_cap_.size();
+
+  // Per message: hops still to go.  Its next channel is then
+  // seq[seq_off[i + 1] - left[i]].
+  std::vector<std::uint32_t> left(m);
+  std::uint32_t* const left_of = left.data();
+  const auto next_channel = [seq, seq_off, left_of](std::uint32_t i) {
+    return seq[seq_off[i + 1] - left_of[i]];
+  };
+  // Each domain's heap is a region [base, base + cap) of one shared arena,
+  // freed in one piece when the batch ends.  Every message waits at tick 1,
+  // so each region starts at its first-hop load plus half again for later
+  // arrivals; a heap that outgrows its region moves to one twice the size
+  // at the arena's end.
+  struct Queue {
+    std::uint32_t base = 0;
+    std::uint32_t size = 0;
+    std::uint32_t cap = 0;
+  };
+  std::vector<Queue> queue(num_ch + node_cap_.size());
+  for (std::uint32_t i = 0; i < m; ++i) {
+    left_of[i] = seq_off[i + 1] - seq_off[i];
+    if (left_of[i] != 0) ++queue[domain_of[next_channel(i)]].cap;
+  }
+  std::uint32_t arena_size = 0;
+  for (Queue& q : queue) {
+    q.base = arena_size;
+    q.cap += q.cap / 2;
+    arena_size += q.cap;
+  }
+  std::vector<std::uint32_t> arena;
+  arena.reserve(arena_size + arena_size / 4);
+  arena.resize(arena_size);
+  // Non-empty domains for the coming tick, each listed once: a domain is
+  // listed when a push finds it empty or when it keeps waiters after its
+  // pops, the only two ways to be non-empty at a tick's start.
+  std::vector<std::uint32_t> active, next_active, winners, skipped;
+  // Wires taken this tick, for node domains that pass several messages.
+  std::vector<std::uint32_t> wires_used(node_multi_ ? num_ch : 0, 0);
+
+  const auto key_of = [left_of, rand_key_by_msg](std::uint32_t i) {
+    std::uint64_t hi = 0;
+    if constexpr (kPolicy == Arbitration::kFarthestFirst) hi = ~left_of[i];
+    if constexpr (kPolicy == Arbitration::kRandom) hi = rand_key_by_msg[i];
+    return (hi << 32) | i;
+  };
+  const auto enqueue = [&](std::uint32_t i) {
+    const std::uint32_t d = domain_of[next_channel(i)];
+    Queue& q = queue[d];
+    if (q.size == 0) next_active.push_back(d);
+    if (q.size == q.cap) {
+      const auto moved = static_cast<std::uint32_t>(arena.size());
+      q.cap = std::max<std::uint32_t>(4, 2 * q.cap);
+      arena.resize(arena.size() + q.cap);
+      std::copy_n(arena.data() + q.base, q.size, arena.data() + moved);
+      q.base = moved;
+    }
+    heap_sift_up(arena.data() + q.base, q.size++, i, key_of);
+  };
+
+  std::size_t undelivered = 0;
+  for (std::uint32_t i = 0; i < m; ++i) {
+    if (left_of[i] == 0) continue;  // zero-hop: delivered at tick 0
+    ++undelivered;
+    enqueue(i);
+  }
+
+  std::uint64_t tick = 0;
+  std::uint64_t latency_sum = 0;
+  while (!next_active.empty()) {
+    ++tick;
+    poll_cancel(tick, m - undelivered, cancel);
+    active.swap(next_active);
+    next_active.clear();
+    winners.clear();
+    // Pop every domain before any winner moves on, so no message can take
+    // two hops in one tick.
+    for (const std::uint32_t d : active) {
+      Queue& q = queue[d];
+      std::uint32_t* const heap = arena.data() + q.base;
+      const bool node = d >= num_ch;
+      std::uint32_t cap = node ? node_cap_[d - num_ch] : channel_cap_[d];
+      if (!node || cap == 1) {
+        do {
+          winners.push_back(heap_pop(heap, q.size--, key_of));
+        } while (--cap != 0 && q.size != 0);
+      } else {
+        // A node passing several messages a tick: take waiters in key
+        // order, skipping any whose channel's wires are already taken, and
+        // put the skipped ones back.  This picks exactly "each channel's
+        // `mult` best, then the node's `cap` best of those".
+        const std::size_t first = winners.size();
+        skipped.clear();
+        while (cap != 0 && q.size != 0) {
+          const std::uint32_t i = heap_pop(heap, q.size--, key_of);
+          const std::uint32_t c = next_channel(i);
+          if (wires_used[c] < channel_cap_[c]) {
+            ++wires_used[c];
+            winners.push_back(i);
+            --cap;
+          } else {
+            skipped.push_back(i);
           }
         }
-      }
-      na = keep;
-    } else {
-      for (std::size_t j = 0; j < na; ++j) {
-        if (j + 8 < na) prefetch_rw(&count_base[act_cur[j + 8]]);
-        const std::uint32_t c = act_cur[j];
-        if (static_cast<std::uint32_t>(count_base[c]++) == 0) {
-          touched.push_back(c);
+        for (std::size_t k = first; k < winners.size(); ++k) {
+          wires_used[next_channel(winners[k])] = 0;
         }
+        for (const std::uint32_t i : skipped) {
+          heap_sift_up(heap, q.size++, i, key_of);  // back where it was
+        }
+      }
+      if (q.size != 0) next_active.push_back(d);
+    }
+    for (const std::uint32_t i : winners) {
+      if (--left_of[i] == 0) {
+        latency_sum += tick;
+        stats.makespan = tick;
+        --undelivered;
+      } else {
+        enqueue(i);
       }
     }
   }
+  return finish_batch(stats, tick, latency_sum);
+}
 
-  record_batch_volume(tick, m);
-  stats.avg_latency = m == 0 ? 0.0 : latency_sum / static_cast<double>(m);
-  return stats;
+template <Arbitration kPolicy>
+BatchStats PacketSimulator::run_policy(const PreparedBatch& batch,
+                                       const std::uint32_t* rand_key_by_msg,
+                                       const CancelToken& cancel) const {
+  cancel.check();  // a pre-cancelled batch never starts
+  if (uses_sweep(batch)) {
+    return run_sweep<kPolicy>(batch, rand_key_by_msg, cancel);
+  }
+  return run_queues<kPolicy>(batch, rand_key_by_msg, cancel);
 }
 
 BatchStats PacketSimulator::run_batch(const PreparedBatch& batch, Prng& rng,
                                       const CancelToken& cancel) const {
   switch (arbitration_) {
     case Arbitration::kFifo:
-      return run_batch_impl(
-          batch,
-          [](const std::uint32_t*, const std::uint32_t*) { return FifoKey{}; },
-          nullptr, cancel);
+      return run_policy<Arbitration::kFifo>(batch, nullptr, cancel);
     case Arbitration::kRandom: {
       // Keys are drawn per message in index order (zero-hop messages
       // included), matching the documented serial order.
       std::vector<std::uint32_t> rand_key(batch.size());
       for (auto& k : rand_key) k = static_cast<std::uint32_t>(rng());
-      return run_batch_impl(
-          batch,
-          [](const std::uint32_t*, const std::uint32_t* key) {
-            return RandomKey{key};
-          },
-          rand_key.data(), cancel);
+      return run_policy<Arbitration::kRandom>(batch, rand_key.data(), cancel);
     }
     case Arbitration::kFarthestFirst:
       break;
   }
-  return run_batch_impl(
-      batch,
-      [](const std::uint32_t* remaining, const std::uint32_t*) {
-        return FarthestFirstKey{remaining};
-      },
-      nullptr, cancel);
+  return run_policy<Arbitration::kFarthestFirst>(batch, nullptr, cancel);
 }
 
 BatchStats PacketSimulator::run_batch(

@@ -16,10 +16,15 @@
 //
 // Hot-path design (see docs/PERF.md): paths are flattened ONCE into a
 // PreparedBatch of channel-id sequences (channel_of resolved at flatten
-// time, never per tick), and the tick loop buckets contending messages with
-// a flat counting sort over scratch arrays sized once per run — no per-tick
-// allocation.  PreparedBatch is appendable so a batch-doubling caller reuses
-// the already-flattened prefix instead of re-resolving every path.
+// time, never per tick).  The tick loop is event-driven: every arbitration
+// domain (a channel, or a node whose forward_cap can bind) keeps its
+// waiting messages in a priority queue, and a tick pops each non-empty
+// domain's winners and pushes them into their next domain, so a batch
+// costs per hop advanced rather than per waiting message per tick.
+// Lightly loaded unit-capacity batches, where messages rarely wait, keep a
+// one-sweep-per-tick running-min loop instead.  PreparedBatch is appendable
+// so a batch-doubling caller reuses the already-flattened prefix instead of
+// re-resolving every path.
 
 #include <atomic>
 #include <cstdint>
@@ -116,24 +121,41 @@ class PacketSimulator {
 
   std::size_t num_channels() const { return channel_cap_.size(); }
 
+  /// Which kernel run_batch picks for `batch`: the per-tick sweep (true) or
+  /// the per-hop domain queues (false).  Both give identical BatchStats;
+  /// the choice is by cost alone (docs/PERF.md, "Tick-loop design").
+  bool uses_sweep(const PreparedBatch& batch) const;
+
  private:
   std::uint32_t channel_of(Vertex u, Vertex v) const;
 
-  template <class PriorityFactory>
-  BatchStats run_batch_impl(const PreparedBatch& batch,
-                            const PriorityFactory& make_priority,
-                            const std::uint32_t* rand_key_by_msg,
-                            const CancelToken& cancel) const;
+  template <Arbitration kPolicy>
+  BatchStats run_policy(const PreparedBatch& batch,
+                        const std::uint32_t* rand_key_by_msg,
+                        const CancelToken& cancel) const;
+  template <Arbitration kPolicy>
+  BatchStats run_sweep(const PreparedBatch& batch,
+                       const std::uint32_t* rand_key_by_msg,
+                       const CancelToken& cancel) const;
+  template <Arbitration kPolicy>
+  BatchStats run_queues(const PreparedBatch& batch,
+                        const std::uint32_t* rand_key_by_msg,
+                        const CancelToken& cancel) const;
 
-  const Machine& machine_;
   Arbitration arbitration_;
   // Directed channel table: channel id = arc slot in a flattened per-vertex
   // layout; capacity = edge multiplicity.
   std::vector<std::size_t> arc_base_;          // per-vertex offset
   std::vector<Vertex> arc_to_;                 // channel -> head vertex
   std::vector<std::uint32_t> channel_cap_;     // channel -> wires
-  std::vector<Vertex> channel_tail_;           // channel -> tail vertex
-  bool all_unit_cap_ = false;                  // every channel a single wire
+  // Arbitration domains: channel ids first (a channel domain passes
+  // channel_cap_ messages a tick), then one per node whose forward_cap is
+  // below its total wires.
+  std::vector<std::uint32_t> domain_of_;       // channel -> domain
+  std::vector<std::uint32_t> node_cap_;  // node domain d -> forward_cap,
+                                         // at d - num_channels()
+  bool node_multi_ = false;    // some node domain passes > 1 message a tick
+  bool sweep_capable_ = false;  // single wires only, no node domains
 };
 
 }  // namespace netemu

@@ -1,11 +1,10 @@
-// Golden-value regression tests for the counting-sort packet simulator.
+// Golden-value and differential regression tests for the packet simulator.
 //
-// The flat-bucket rewrite of PacketSimulator::run_batch is required to be
+// Every rewrite of PacketSimulator::run_batch is required to be
 // bit-identical to the original per-tick-allocation implementation: same
-// paths + same seed must give the same BatchStats.  The values below were
-// captured from the pre-rewrite simulator (mesh 8x8, 3-dim butterfly,
-// 5-level tree; all three arbitration policies; with and without a
-// per-node forward cap) and pin that contract down.
+// paths + same seed must give the same BatchStats.  Two tests pin that
+// contract down: recorded goldens on real machine shapes, and a naive
+// reference simulator compared on hundreds of seeded random multigraphs.
 //
 // Also covered here: prepare()-vs-append() equivalence (the route-reuse
 // path of batch doubling) and thread-count invariance of the parallel
@@ -13,10 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "netemu/routing/bfs_router.hpp"
@@ -50,7 +54,7 @@ std::vector<std::vector<Vertex>> golden_paths(const Machine& m,
 struct GoldenRow {
   const char* topology;
   Arbitration arbitration;
-  bool capped;  // forward_cap = 1 on every node
+  bool capped;  // forward_cap = 1 on every node; false = the machine's own
   std::uint64_t makespan;
   std::uint64_t delivered;
   std::uint64_t total_hops;
@@ -59,7 +63,11 @@ struct GoldenRow {
 };
 
 // Captured from the pre-rewrite simulator at commit 42ecf76 (paths: scheme
-// above with seed 12345; simulation rng seed 777 per run).
+// above with seed 12345; simulation rng seed 777 per run).  The fattree4
+// (multi-wire channels), hypercube5 (weak: forward_cap 1 everywhere),
+// bus16 (hub forward_cap 1, leaves unlimited) and linear16 rows were
+// captured the same way from the counting-sort simulator that preceded the
+// queue kernel.
 const GoldenRow kGolden[] = {
     {"mesh8x8", Arbitration::kFarthestFirst, false, 17, 256, 1342, 17,
      8.97265625},
@@ -89,11 +97,33 @@ const GoldenRow kGolden[] = {
      66.523809523809518},
     {"tree5", Arbitration::kRandom, true, 160, 252, 1618, 61,
      66.376984126984127},
+    {"fattree4", Arbitration::kFarthestFirst, false, 10, 124, 619, 32,
+     5.685483870967742},
+    {"fattree4", Arbitration::kFifo, false, 12, 124, 619, 32,
+     5.637096774193548},
+    {"fattree4", Arbitration::kRandom, false, 12, 124, 619, 32,
+     5.629032258064516},
+    {"hypercube5", Arbitration::kFarthestFirst, false, 18, 128, 328, 6,
+     9.2578125},
+    {"hypercube5", Arbitration::kFifo, false, 18, 128, 328, 6, 7.75},
+    {"hypercube5", Arbitration::kRandom, false, 20, 128, 328, 6, 7.390625},
+    {"bus16", Arbitration::kFarthestFirst, false, 57, 68, 115, 8,
+     24.661764705882351},
+    {"bus16", Arbitration::kFifo, false, 57, 68, 115, 8, 24.5},
+    {"bus16", Arbitration::kRandom, false, 57, 68, 115, 8, 24.5},
+    {"linear16", Arbitration::kFarthestFirst, false, 23, 64, 402, 23,
+     12.40625},
+    {"linear16", Arbitration::kFifo, false, 30, 64, 402, 23, 11.140625},
+    {"linear16", Arbitration::kRandom, false, 28, 64, 402, 23, 10.9375},
 };
 
 Machine golden_machine(const std::string& name) {
   if (name == "mesh8x8") return make_mesh({8, 8});
   if (name == "butterfly3") return make_butterfly(3);
+  if (name == "fattree4") return make_fat_tree(4);
+  if (name == "hypercube5") return make_hypercube(5);
+  if (name == "bus16") return make_global_bus(16);
+  if (name == "linear16") return make_linear_array(16);
   return make_tree(5);
 }
 
@@ -170,6 +200,176 @@ TEST(SimGolden, RunBatchIsSeedDeterministic) {
     Prng r1(9), r2(9);
     EXPECT_EQ(sim.run_batch(batch, r1), sim.run_batch(batch, r2));
   }
+}
+
+// --------------------------------------------------------------------------
+// Differential test against a naive reference simulator.
+
+// The model of packet_sim.hpp, one tick at a time and nothing clever: every
+// undelivered message requests its next channel, each channel keeps its
+// `multiplicity` best requests, each node with a finite forward_cap keeps
+// that many of its channels' winners, and the survivors advance.  "Best" is
+// the policy's strict order: more hops left (farthest-first), the drawn key
+// (random) or nothing (fifo), ties to the smaller message index.
+BatchStats reference_run(const Machine& m, Arbitration arb,
+                         const std::vector<std::vector<Vertex>>& paths,
+                         Prng& rng) {
+  using Channel = std::pair<Vertex, Vertex>;
+  const std::size_t count = paths.size();
+  std::vector<std::uint32_t> key(count, 0);
+  if (arb == Arbitration::kRandom) {
+    for (auto& k : key) k = static_cast<std::uint32_t>(rng());
+  }
+  std::vector<std::size_t> left(count);  // hops still to go
+  BatchStats s;
+  s.delivered = count;
+  std::map<Channel, std::uint64_t> load;
+  std::size_t undelivered = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    left[i] = paths[i].empty() ? 0 : paths[i].size() - 1;
+    s.total_hops += left[i];
+    if (left[i] > 0) ++undelivered;
+    for (std::size_t j = 0; j < left[i]; ++j) {
+      s.static_congestion = std::max(
+          s.static_congestion, ++load[Channel{paths[i][j], paths[i][j + 1]}]);
+    }
+  }
+  const auto before = [&](std::size_t a, std::size_t b) {
+    if (arb == Arbitration::kFarthestFirst && left[a] != left[b]) {
+      return left[a] > left[b];
+    }
+    if (arb == Arbitration::kRandom && key[a] != key[b]) {
+      return key[a] < key[b];
+    }
+    return a < b;
+  };
+  std::uint64_t latency_sum = 0;
+  for (std::uint64_t tick = 1; undelivered > 0; ++tick) {
+    std::map<Channel, std::vector<std::size_t>> by_channel;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (left[i] == 0) continue;
+      const std::size_t at = paths[i].size() - 1 - left[i];
+      by_channel[Channel{paths[i][at], paths[i][at + 1]}].push_back(i);
+    }
+    std::map<Vertex, std::vector<std::size_t>> by_node;
+    for (auto& [ch, req] : by_channel) {
+      std::sort(req.begin(), req.end(), before);
+      req.resize(std::min<std::size_t>(
+          req.size(), m.graph.multiplicity(ch.first, ch.second)));
+      by_node[ch.first].insert(by_node[ch.first].end(), req.begin(),
+                               req.end());
+    }
+    std::vector<std::size_t> winners;
+    for (auto& [v, req] : by_node) {
+      std::sort(req.begin(), req.end(), before);
+      if (!m.forward_cap.empty() && m.forward_cap[v] != kUnlimitedForward) {
+        req.resize(std::min<std::size_t>(req.size(), m.forward_cap[v]));
+      }
+      winners.insert(winners.end(), req.begin(), req.end());
+    }
+    for (const std::size_t i : winners) {  // advance only after selection
+      if (--left[i] > 0) continue;
+      latency_sum += tick;
+      s.makespan = tick;
+      --undelivered;
+    }
+  }
+  s.avg_latency = count == 0 ? 0.0
+                             : static_cast<double>(latency_sum) /
+                                   static_cast<double>(count);
+  return s;
+}
+
+struct DiffCase {
+  Machine machine;
+  std::vector<std::vector<Vertex>> paths;
+};
+
+// Seeded random multigraphs: edge multiplicities 1-3, per-node forward_cap
+// from {1, 2, 3, unlimited}, random-walk paths (revisits allowed) with
+// zero-hop and empty paths, light and heavy batches.  One case in three is
+// all single wires with no node caps, the unit-capacity machines that
+// dominate real use.
+std::vector<DiffCase> differential_cases() {
+  Prng gen(20260517);
+  const std::uint32_t caps[] = {1, 2, 3, kUnlimitedForward};
+  std::vector<DiffCase> cases(240);
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const bool unit = c % 3 == 0;
+    const std::size_t n = 2 + gen.below(9);
+    MultigraphBuilder b(n);
+    std::set<std::pair<Vertex, Vertex>> edges;
+    const auto add = [&](Vertex u, Vertex v) {
+      if (u == v || !edges.insert({std::min(u, v), std::max(u, v)}).second) {
+        return;
+      }
+      b.add_edge(u, v, unit ? 1 : 1 + static_cast<std::uint32_t>(gen.below(3)));
+    };
+    for (Vertex v = 1; v < n; ++v) add(static_cast<Vertex>(gen.below(v)), v);
+    for (std::size_t e = gen.below(2 * n); e > 0; --e) {
+      add(static_cast<Vertex>(gen.below(n)), static_cast<Vertex>(gen.below(n)));
+    }
+    Machine& m = cases[c].machine;
+    m.graph = std::move(b).build();
+    if (!unit && gen.below(4) != 0) {
+      m.forward_cap.resize(n);
+      for (auto& cap : m.forward_cap) cap = caps[gen.below(4)];
+    }
+
+    auto& paths = cases[c].paths;
+    paths.resize(1 + gen.below(gen.below(2) ? 8 : 400));
+    for (auto& p : paths) {
+      if (gen.below(16) == 0) continue;  // empty path: zero hops
+      p.push_back(static_cast<Vertex>(gen.below(n)));
+      for (std::size_t h = gen.below(8); h > 0; --h) {
+        const auto arcs = m.graph.neighbors(p.back());
+        p.push_back(arcs[gen.below(arcs.size())].to);
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(SimGolden, RunBatchMatchesNaiveReference) {
+  const auto cases = differential_cases();
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (const Arbitration a : {Arbitration::kFarthestFirst,
+                                Arbitration::kFifo, Arbitration::kRandom}) {
+      SCOPED_TRACE("case " + std::to_string(c) + "/" + arbitration_name(a));
+      const std::uint64_t seed = 3 * c + static_cast<std::uint64_t>(a);
+      Prng r1(seed), r2(seed);
+      const BatchStats got =
+          PacketSimulator(cases[c].machine, a).run_batch(cases[c].paths, r1);
+      const BatchStats want =
+          reference_run(cases[c].machine, a, cases[c].paths, r2);
+      EXPECT_EQ(got.makespan, want.makespan);
+      EXPECT_EQ(got.delivered, want.delivered);
+      EXPECT_EQ(got.total_hops, want.total_hops);
+      EXPECT_EQ(got.static_congestion, want.static_congestion);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.avg_latency),
+                std::bit_cast<std::uint64_t>(want.avg_latency));
+    }
+  }
+}
+
+TEST(SimGolden, DifferentialCasesCoverBothKernels) {
+  const auto cases = differential_cases();
+  // run_batch picks the sweep or the domain queues per batch; the reference
+  // comparison above locks both only if both are picked, on unit-capacity
+  // batches in particular (the only ones the sweep may run).
+  std::size_t sweep = 0, unit_queues = 0, queues = 0;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const PacketSimulator sim(cases[c].machine);
+    if (sim.uses_sweep(sim.prepare(cases[c].paths))) {
+      ++sweep;
+    } else {
+      ++queues;
+      unit_queues += c % 3 == 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GE(sweep, 20u);
+  EXPECT_GE(unit_queues, 20u);
+  EXPECT_GE(queues, 100u);
 }
 
 // --------------------------------------------------------------------------
@@ -303,12 +503,13 @@ TEST(SimGolden, PreCancelledBatchNeverStartsSimulating) {
 
 TEST(SimGolden, CancelStopsALongRunningBatchEarly) {
   // A capped tree serializes all cross-root traffic through one edge, so a
-  // big batch runs for tens of thousands of ticks — long enough that the
-  // cancel below always lands while the simulation is still going.
+  // big batch runs for tens of thousands of ticks (still tens of
+  // milliseconds on the per-hop queue kernel) — long enough that the cancel
+  // below always lands while the simulation is still going.
   Machine m = make_tree(5);
   const std::size_t n = m.graph.num_vertices();
   m.forward_cap.assign(n, 1);
-  const auto paths = golden_paths(m, 300 * n, 12345);
+  const auto paths = golden_paths(m, 1000 * n, 12345);
   PacketSimulator sim(m);
   const auto batch = sim.prepare(paths);
 
