@@ -1,10 +1,12 @@
 // drain_soak: graceful-drain acceptance for the service lifecycle
 // (docs/LIFECYCLE.md).  For each seed it starts THREE real netemu_serve
 // backends, fronts them with a FleetRouter, and drives a stream of
-// uniquely-addressed queries while a deterministic schedule SIGTERMs
+// uniquely-addressed queries while a deterministic schedule stops
 // backends mid-flight — the graceful sibling of fleet_soak's kill -9.
+// Scheduled stops alternate between SIGTERM and a wire {"op":"drain"},
+// the two ways into the same drain sequence.
 //
-// A SIGTERM'd backend must DRAIN, not die: stop accepting, finish or cancel
+// A stopped backend must DRAIN, not die: stop accepting, finish or cancel
 // in-flight work within its --drain-ms budget, snapshot its cache, and
 // exit 0.  Invariants checked per seed (exit nonzero on any failure):
 //   * zero lost queries: traffic aimed at a draining backend fails over
@@ -12,7 +14,7 @@
 //   * zero wrong answers: every response echoes the size it asked about;
 //   * every drain is CLEAN: exit status 0 — not 128+SIGTERM, not SIGKILL
 //     after an overrun grace period;
-//   * every drain is FAST: SIGTERM-to-exit under 2 seconds.
+//   * every drain is FAST: stop-to-exit under 2 seconds.
 //
 // Reproduce one seed exactly:  drain_soak --seeds 1 --first-seed <s>
 
@@ -29,6 +31,7 @@
 #include "bench_common.hpp"
 #include "netemu/faultline/process.hpp"
 #include "netemu/fleet/router.hpp"
+#include "netemu/service/client.hpp"
 #include "netemu/util/cli.hpp"
 #include "netemu/util/json.hpp"
 #include "netemu/util/table.hpp"
@@ -43,7 +46,7 @@ struct BackendProc {
   std::unique_ptr<ManagedProcess> proc;
   std::uint16_t port = 0;  // pinned after the first (ephemeral) bind
   std::string cache_file;
-  bool draining = false;         // SIGTERM sent, exit not yet observed
+  bool draining = false;         // stop sent, exit not yet observed
   bool down = false;             // exited; awaiting restart_at
   std::uint64_t restart_at = 0;  // request index to restart at (when down)
   std::chrono::steady_clock::time_point term_sent;
@@ -54,9 +57,11 @@ struct SeedResult {
   std::uint64_t requests = 0;
   std::uint64_t unanswered = 0;  ///< lost queries (must be 0)
   std::uint64_t mismatches = 0;  ///< wrong answers (must be 0)
-  int terms = 0;                 ///< SIGTERMs delivered
+  int sigterms = 0;              ///< stops sent as SIGTERM
+  int drain_ops = 0;             ///< stops sent as a wire {"op":"drain"}
+  int terms = 0;                 ///< drains observed to exit
   int clean_exits = 0;           ///< ... that exited with status 0
-  double worst_drain_ms = 0.0;   ///< slowest SIGTERM-to-exit
+  double worst_drain_ms = 0.0;   ///< slowest stop-to-exit
   std::string error;             ///< harness-level failure
   double secs = 0.0;
 };
@@ -74,6 +79,16 @@ bool start_backend(BackendProc& b, const std::string& serve_bin,
   b.draining = false;
   b.down = false;
   return true;
+}
+
+/// Ask a backend to drain over the wire.  True once it acknowledged.
+bool send_drain_op(std::uint16_t port) {
+  Client client;
+  client.set_target(port);
+  Json op = Json::object();
+  op["op"] = "drain";
+  const std::optional<Json> reply = client.request(op);
+  return reply && (*reply)["result"]["draining"].as_bool();
 }
 
 Json query_for(double n) {
@@ -112,7 +127,7 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t total_requests,
   options.client.attempt_timeout_ms = 5000;
   FleetRouter router(options);
 
-  // Reuse the kill scheduler: same spacing rules, SIGTERM instead.
+  // Reuse the kill scheduler: same spacing rules, a graceful stop instead.
   const std::vector<ProcessFault> schedule =
       process_fault_schedule(seed, kBackends, total_requests, terms);
   std::size_t next_fault = 0;
@@ -145,9 +160,18 @@ SeedResult run_seed(std::uint64_t seed, std::uint64_t total_requests,
       const ProcessFault& f = schedule[next_fault++];
       BackendProc& victim = backends[f.backend];
       if (!victim.draining && !victim.down) {
-        ::kill(victim.proc->pid(), SIGTERM);  // graceful: drain, then exit 0
-        victim.draining = true;
+        // Graceful either way: drain, then exit 0.
         victim.term_sent = std::chrono::steady_clock::now();
+        if ((out.sigterms + out.drain_ops) % 2 == 0) {
+          ::kill(victim.proc->pid(), SIGTERM);
+          ++out.sigterms;
+        } else if (send_drain_op(victim.port)) {
+          ++out.drain_ops;
+        } else {
+          out.error = "backend refused the drain op";
+          return out;
+        }
+        victim.draining = true;
         victim.restart_at = f.at_request + f.down_for_requests;
       }
     }
@@ -199,25 +223,30 @@ int main(int argc, char** argv) {
   const std::string serve_bin =
       cli.get("serve-bin", bench::default_serve_bin(cli.program()));
 
-  bench::print_header("drain soak: 3 backends, SIGTERM rolling restarts");
+  bench::print_header(
+      "drain soak: 3 backends, SIGTERM / drain-op rolling restarts");
   std::cout << "backend: " << serve_bin << "\n"
             << requests << " requests/seed, " << terms
-            << " SIGTERM/restart faults, seeds " << first_seed << ".."
+            << " stop/restart faults, seeds " << first_seed << ".."
             << (first_seed + seeds - 1) << "\n\n";
 
   bench::Verdict verdict;
-  Table t({"seed", "req", "lost", "wrong", "terms", "clean", "worst_drain_ms",
-           "secs"});
+  Table t({"seed", "req", "lost", "wrong", "sigterm", "drain_op", "drained",
+           "clean", "worst_drain_ms", "secs"});
+  int sigterms = 0, drain_ops = 0;
   for (std::uint64_t s = 0; s < seeds; ++s) {
     const SeedResult r = run_seed(first_seed + s, requests, terms, serve_bin);
     t.add_row({Table::integer(std::int64_t(r.seed)),
                Table::integer(std::int64_t(r.requests)),
                Table::integer(std::int64_t(r.unanswered)),
                Table::integer(std::int64_t(r.mismatches)),
+               Table::integer(r.sigterms), Table::integer(r.drain_ops),
                Table::integer(std::int64_t(r.terms)),
                Table::integer(std::int64_t(r.clean_exits)),
                Table::num(r.worst_drain_ms, 1),
                Table::num(r.secs, 2)});
+    sigterms += r.sigterms;
+    drain_ops += r.drain_ops;
 
     const std::string tag = "seed " + std::to_string(r.seed);
     verdict.check(r.error.empty(), tag + ": harness ran (" +
@@ -226,7 +255,7 @@ int main(int argc, char** argv) {
     if (!r.error.empty()) continue;
     verdict.check(r.unanswered == 0, tag + ": zero lost queries");
     verdict.check(r.mismatches == 0, tag + ": zero wrong answers");
-    verdict.check(r.terms > 0, tag + ": schedule SIGTERM'd a backend");
+    verdict.check(r.terms > 0, tag + ": schedule stopped a backend");
     verdict.check(r.clean_exits == r.terms,
                   tag + ": every drained backend exited 0");
     verdict.check(r.worst_drain_ms < 2000.0,
@@ -234,10 +263,13 @@ int main(int argc, char** argv) {
                       std::to_string(r.worst_drain_ms) + " ms)");
   }
   t.print(std::cout);
+  std::cout << "\nstops: " << sigterms << " SIGTERM, " << drain_ops
+            << " drain op\n";
 
   std::cout << "\n"
             << (verdict.failures() == 0
-                    ? "SOAK PASS: graceful drain under rolling SIGTERM"
+                    ? "SOAK PASS: graceful drain under rolling SIGTERM / "
+                      "drain op"
                     : "SOAK FAIL")
             << "\n";
   return verdict.exit_code();

@@ -121,21 +121,19 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
   server_options.offload_threads =
       static_cast<std::size_t>(cli.get_int("offload-threads", 0));
-  server_options.blocking_plane = cli.has("blocking-io");
-  // No fast_handler: every line proxies to a backend (blocking network
-  // I/O), so everything rides the offload pool.
+  // Every line proxies to a backend (blocking network I/O), so everything
+  // rides the offload pool.
   std::atomic<bool> drain_op{false};
   Server server(
-      Server::TaggedLineHandler(
-          [&front_door, &drain_op](const std::string& line,
-                                   const std::string& peer,
-                                   bool* shutdown_requested) {
-            bool drain = false;
-            std::string response = front_door.handle_line(
-                line, shutdown_requested, &drain, peer);
-            if (drain) drain_op.store(true);
-            return response;
-          }),
+      [&front_door, &drain_op](const std::string& line,
+                               const std::string& peer,
+                               bool* shutdown_requested) {
+        bool drain = false;
+        std::string response =
+            front_door.handle_line(line, shutdown_requested, &drain, peer);
+        if (drain) drain_op.store(true);
+        return response;
+      },
       server_options);
 
   if (!server.start(&error)) {

@@ -7,7 +7,6 @@
 //   $ netemu_serve --fault-plan 'seed=7,drop=0.02,torn=0.3'   # chaos mode
 //   $ netemu_serve --no-journal        # skip the crash-recovery WAL
 //   $ netemu_serve --io-threads 4      # reactor shards (0 = hw threads)
-//   $ netemu_serve --blocking-io       # legacy thread-per-connection plane
 //   $ netemu_serve --guard             # overload guard (docs/GUARD.md)
 //
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
@@ -30,7 +29,6 @@
 #include "netemu/faultline/fault_plan.hpp"
 #include "netemu/faultline/injector.hpp"
 #include "netemu/scope/flight_recorder.hpp"
-#include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/cli.hpp"
 
@@ -152,30 +150,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
   server_options.offload_threads =
       static_cast<std::size_t>(cli.get_int("offload-threads", 0));
-  server_options.blocking_plane = cli.has("blocking-io");
-  // Custom handler rather than the QueryExecutor convenience constructor so
-  // a client {"op":"drain"} reaches the drain sequence below.  That skips
-  // the constructor's automatic fast path, so install it explicitly: ping
-  // and cache hits answer inline on the reactor shard.
-  server_options.fast_handler = [&executor](const std::string& line) {
-    return try_handle_request_line_fast(line, executor);
-  };
-  std::atomic<bool> drain_op{false};
-  Server server(
-      Server::TaggedLineHandler(
-          [&executor, &drain_op](const std::string& line,
-                                 const std::string& peer,
-                                 bool* shutdown_requested) {
-            bool drain = false;
-            // The connection's peer tag is the fallback guard identity for
-            // queries that carry no "client" field.
-            std::string response =
-                handle_request_line(line, executor, shutdown_requested,
-                                    &drain, "peer:" + peer);
-            if (drain) drain_op.store(true);
-            return response;
-          }),
-      server_options);
+  Server server(executor, server_options);
   std::string error;
   if (!server.start(&error)) {
     std::cerr << "netemu_serve: " << error << "\n";
@@ -198,11 +173,12 @@ int main(int argc, char** argv) {
   const auto drain_budget_ms =
       static_cast<std::uint64_t>(cli.get_int("drain-ms", 1000));
 
-  // Poll: a signal handler cannot take the server's locks itself.
-  while (!g_signal_stop.load() && !drain_op.load() && server.running()) {
+  // Poll: a signal handler cannot take the server's locks itself, and a
+  // client {"op":"drain"} shows up as the executor entering drain mode.
+  while (!g_signal_stop.load() && !executor.draining() && server.running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  if (g_signal_stop.load() || drain_op.load()) {
+  if (g_signal_stop.load() || executor.draining()) {
     drain_and_stop(server, executor, drain_budget_ms);
   } else {
     server.stop();  // client shutdown op: connections already done

@@ -49,7 +49,7 @@ class FleetFrontDoor {
   /// Handle one request line (no trailing newline); returns the response
   /// line.  The fleet-side twin of handle_request_line().  A drain op sets
   /// `drain_requested` (when non-null) for the daemon's drain sequence.
-  /// `peer` is the connection's peer tag (Server::TaggedLineHandler): a
+  /// `peer` is the connection's peer tag (Server::LineHandler): a
   /// query op carrying no "client" field is stamped "peer:<peer>" before
   /// routing, so backend guards can tell the fleet's callers apart even
   /// though every backend sees the same front-door source address.

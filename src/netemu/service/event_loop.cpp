@@ -11,20 +11,22 @@
 //
 // Data path per connection:
 //   read until EAGAIN -> incremental '\n' framing into a request queue ->
-//   serve queue head: overlong lines answer protocol_error, fast_handler
-//   answers inline (ping / cache hits), everything else is offloaded to the
+//   serve queue head: overlong lines answer protocol_error, the executor's
+//   fast path answers inline (ping / cache hits), the rest is offloaded to the
 //   handler pool (at most ONE in flight per connection — the line protocol
 //   promises in-order responses) -> responses append to a coalesced output
 //   buffer flushed until EAGAIN, with EPOLLOUT (edge) re-arming the flush.
 //   A connection whose un-flushed output exceeds max_output_bytes is a slow
 //   consumer and is disconnected (counted) instead of growing the heap.
 //
-// Fault injection (chaos tests) fires on every non-blocking read/write just
-// as the blocking LineChannel fired per syscall: kDrop closes the
-// connection, a clamped length makes a short read/write, injected sleeps
-// stall the shard — the blocking plane stalled the connection thread.
+// Fault injection (chaos tests) fires on every non-blocking read/write:
+// kDrop closes the connection, a clamped length makes a short read/write,
+// injected sleeps stall the shard.
+//
+// This file also holds Server itself: the lifecycle flags and wait() live
+// in Server, the sockets and threads in its EventLoop.
 
-#include <fcntl.h>
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -36,8 +38,10 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "netemu/faultline/injector.hpp"
 #include "netemu/scope/metrics.hpp"
@@ -46,7 +50,6 @@
 #include "netemu/util/thread_pool.hpp"
 
 namespace netemu {
-namespace detail {
 
 namespace {
 
@@ -77,17 +80,72 @@ double micros_since(SteadyClock::time_point start) {
       .count();
 }
 
-class EpollPlane final : public ServerPlane {
+/// Bind + listen on 127.0.0.1:options.port, resolve the actual port into
+/// *port.  Returns the listening fd, or -1 with *error / *errno_out
+/// describing the failing syscall.
+int listen_loopback(const Server::Options& options, std::uint16_t* port,
+                    std::string* error, int* errno_out) {
+  const auto fail = [&](int fd, const std::string& msg) {
+    if (errno_out) *errno_out = errno;
+    if (error) *error = msg + ": " + std::strerror(errno);
+    if (fd >= 0) ::close(fd);
+    return -1;
+  };
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return fail(fd, "socket");
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(options.port);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    return fail(fd, "bind 127.0.0.1:" + std::to_string(options.port));
+  }
+  if (::listen(fd, options.backlog) < 0) return fail(fd, "listen");
+
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+    return fail(fd, "getsockname");
+  }
+  *port = ntohs(addr.sin_port);
+  if (error) error->clear();
+  if (errno_out) *errno_out = 0;
+  return fd;
+}
+
+/// Peer tag for a connected socket: "ip:port" via getpeername, or
+/// "conn-<fd>" when the syscall fails (torn sockets).
+std::string peer_tag(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0 &&
+      addr.sin_family == AF_INET) {
+    char ip[INET_ADDRSTRLEN] = {};
+    if (::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof(ip))) {
+      return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
+    }
+  }
+  return "conn-" + std::to_string(fd);
+}
+
+}  // namespace
+
+class Server::EventLoop {
  public:
-  EpollPlane(Server::TaggedLineHandler handler, Server::Options options,
-             std::function<void()> on_shutdown_request)
-      : handler_(std::move(handler)),
-        options_(std::move(options)),
-        on_shutdown_request_(std::move(on_shutdown_request)) {}
+  explicit EventLoop(Server& server)
+      : server_(server), options_(server.options_) {}
 
-  ~EpollPlane() override { stop(); }
+  ~EventLoop() { stop(); }
 
-  bool start(std::string* error, int* errno_out) override {
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+
+  /// Bind + listen + spawn threads.  On failure: false, *error set (when
+  /// non-null), *errno_out = failing syscall's errno.
+  bool start(std::string* error, int* errno_out) {
     const int fd = listen_loopback(options_, &port_, error, errno_out);
     if (fd < 0) return false;
     listen_fd_.store(fd);
@@ -117,8 +175,8 @@ class EpollPlane final : public ServerPlane {
       ev.events = EPOLLIN;
       ev.data.fd = shard->wake_fd;
       ::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->wake_fd, &ev);
-      // Per-shard loop histogram: a hot or stalled shard (a blocking
-      // fast_handler, a fault-injected sleep) shows up as its own tail.
+      // Per-shard loop histogram: a hot or stalled shard (a fault-injected
+      // sleep, a burst of fast-path answers) shows up as its own tail.
       shard->loop_us = &scope::Registry::global().histogram(
           "netemu_io_loop_us_shard" + std::to_string(s),
           "Event-loop iteration time (work, not epoll_wait idle) on shard " +
@@ -141,9 +199,10 @@ class EpollPlane final : public ServerPlane {
     return true;
   }
 
-  std::uint16_t port() const override { return port_; }
+  std::uint16_t port() const { return port_; }
 
-  void begin_drain() override {
+  /// Close the listener only; live connections keep serving.  Idempotent.
+  void begin_drain() {
     const int fd = listen_fd_.exchange(-1);
     if (fd >= 0) {
       ::shutdown(fd, SHUT_RDWR);
@@ -151,7 +210,8 @@ class EpollPlane final : public ServerPlane {
     }
   }
 
-  void stop() override {
+  /// Full stop: close everything, join every thread.  Idempotent.
+  void stop() {
     if (stopping_.exchange(true)) return;
     begin_drain();  // close the listener; the acceptor exits
     if (accept_thread_.joinable()) accept_thread_.join();
@@ -239,17 +299,24 @@ class EpollPlane final : public ServerPlane {
   }
 
   void accept_loop() {
+    constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
     std::size_t next_shard = 0;
     for (;;) {
       const int listen_fd = listen_fd_.load();
-      if (listen_fd < 0) return;
+      if (listen_fd < 0) return;  // drain/stop closed the listener
       // accept4 delivers the fd already non-blocking: two fcntl syscalls
       // fewer per connection than accept + F_GETFL/F_SETFL, which a
       // connection storm turns into a measurable accept-rate difference.
       const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
       if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener closed (drain/stop) or fatal: stop accepting
+        // While the listener is open every failure is transient — a full
+        // fd table (EMFILE/ENFILE), kernel memory, an aborted handshake.
+        // Back off and retry: waiting clients sit in the kernel backlog
+        // until an fd frees up, instead of never being answered.
+        if (errno != EINTR && listen_fd_.load() >= 0) {
+          std::this_thread::sleep_for(kAcceptBackoff);
+        }
+        continue;
       }
       if (stopping_.load()) {
         ::close(fd);
@@ -379,8 +446,7 @@ class EpollPlane final : public ServerPlane {
     frame_lines(conn);
     if (conn.read_closed) {
       // Half-close: answer every complete pipelined request, then close.
-      // A partial trailing line is a torn request and gets no response
-      // (the blocking plane treated it as a transport error the same way).
+      // A partial trailing line is a torn request and gets no response.
       conn.in.clear();
       conn.close_after_flush = true;
     }
@@ -452,8 +518,9 @@ class EpollPlane final : public ServerPlane {
         conn.requests.pop_front();
         continue;
       }
-      if (options_.fast_handler) {
-        if (auto fast = options_.fast_handler(req.line)) {
+      if (server_.fast_executor_) {
+        if (auto fast = try_handle_request_line_fast(
+                req.line, *server_.fast_executor_)) {
           if (!enqueue_response(shard, fd, conn, std::move(*fast),
                                 req.framed_at)) {
             return false;
@@ -477,7 +544,7 @@ class EpollPlane final : public ServerPlane {
             Completion done;
             done.fd = fd;
             done.gen = gen;
-            done.response = handler_(line, peer, &shutdown);
+            done.response = server_.handler_(line, peer, &shutdown);
             done.shutdown = shutdown;
             {
               std::lock_guard lock(shard_ptr->inbox_mutex);
@@ -503,8 +570,8 @@ class EpollPlane final : public ServerPlane {
     Conn& conn = *it->second;
     conn.offload_in_flight = false;
     if (done.shutdown) {
-      // Mirror the blocking plane: deliver the shutdown ack, then close the
-      // connection and stop the server.
+      // Deliver the shutdown ack, then close the connection and stop the
+      // server.
       conn.shutdown_after_flush = true;
       conn.close_after_flush = true;
     }
@@ -570,7 +637,7 @@ class EpollPlane final : public ServerPlane {
     if (conn.shutdown_after_flush) {
       conn.shutdown_after_flush = false;
       close_conn(shard, fd);
-      on_shutdown_request_();
+      server_.request_stop();
       return false;
     }
     if (conn.close_after_flush) {
@@ -588,9 +655,8 @@ class EpollPlane final : public ServerPlane {
     connections_gauge().add(-1.0);
   }
 
-  Server::TaggedLineHandler handler_;
-  Server::Options options_;
-  std::function<void()> on_shutdown_request_;
+  Server& server_;
+  const Server::Options& options_;
   std::atomic<int> listen_fd_{-1};
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{true};
@@ -599,14 +665,77 @@ class EpollPlane final : public ServerPlane {
   std::unique_ptr<ThreadPool> offload_pool_;
 };
 
-}  // namespace
+Server::Server(QueryExecutor& executor) : Server(executor, Options()) {}
 
-std::unique_ptr<ServerPlane> make_epoll_plane(
-    Server::TaggedLineHandler handler, Server::Options options,
-    std::function<void()> on_shutdown_request) {
-  return std::make_unique<EpollPlane>(std::move(handler), std::move(options),
-                                      std::move(on_shutdown_request));
+Server::Server(QueryExecutor& executor, Options options)
+    : handler_([&executor](const std::string& line, const std::string& peer,
+                           bool* shutdown_requested) {
+        // Stamp the connection peer as the default client identity so the
+        // guard's per-client fairness works without cooperation.
+        return handle_request_line(line, executor, shutdown_requested,
+                                   "peer:" + peer);
+      }),
+      fast_executor_(&executor),
+      options_(std::move(options)) {}
+
+Server::Server(LineHandler handler, Options options)
+    : handler_(std::move(handler)), options_(std::move(options)) {}
+
+Server::~Server() { stop(); }
+
+bool Server::start(std::string* error) {
+  last_errno_ = 0;
+  {
+    std::lock_guard lock(mutex_);
+    stop_requested_ = false;
+    stopped_ = false;
+  }
+  loop_ = std::make_unique<EventLoop>(*this);
+  if (!loop_->start(error, &last_errno_)) {
+    loop_.reset();
+    std::lock_guard lock(mutex_);
+    stopped_ = true;
+    return false;
+  }
+  port_ = loop_->port();
+  return true;
 }
 
-}  // namespace detail
+void Server::request_stop() {
+  {
+    std::lock_guard lock(mutex_);
+    if (stop_requested_) return;
+    stop_requested_ = true;
+  }
+  stop_cv_.notify_all();
+}
+
+void Server::begin_drain() {
+  if (loop_) loop_->begin_drain();
+}
+
+void Server::wait() {
+  {
+    std::unique_lock lock(mutex_);
+    stop_cv_.wait(lock, [this] { return stop_requested_ || stopped_; });
+  }
+  stop();
+}
+
+void Server::stop() {
+  request_stop();
+  {
+    std::lock_guard lock(mutex_);
+    if (stopped_) return;
+    stopped_ = true;
+  }
+  if (loop_) loop_->stop();
+  stop_cv_.notify_all();
+}
+
+bool Server::running() const {
+  std::lock_guard lock(mutex_);
+  return !stopped_ && !stop_requested_;
+}
+
 }  // namespace netemu

@@ -258,7 +258,6 @@ std::optional<std::string> try_handle_request_line_fast(
 
 std::string handle_request_line(const std::string& line, QueryExecutor& exec,
                                 bool* shutdown_requested,
-                                bool* drain_requested,
                                 const std::string& default_client) {
   std::string error;
   const Json request = Json::parse(line, &error);
@@ -288,11 +287,10 @@ std::string handle_request_line(const std::string& line, QueryExecutor& exec,
     return doc.dump();
   }
   if (op == "drain") {
-    // Shed new flights right away; the daemon (when wired up via
-    // drain_requested) then bounds the remaining in-flight work, snapshots
-    // the cache, and exits.
+    // Shed new flights right away; the daemon (polling exec.draining())
+    // then bounds the remaining in-flight work, snapshots the cache, and
+    // exits.
     exec.begin_drain();
-    if (drain_requested) *drain_requested = true;
     Json doc = Json::object();
     doc["ok"] = true;
     Json result = Json::object();

@@ -59,14 +59,13 @@ std::optional<std::string> try_handle_request_line_fast(
 /// Handle one request line (without trailing newline) against an executor.
 /// Returns the response line (without trailing newline).  If the request is
 /// a shutdown op and `shutdown_requested` is non-null, sets it.  A drain op
-/// puts the executor into drain mode immediately and sets `drain_requested`
-/// (when non-null) so the daemon can run its bounded drain sequence.
+/// puts the executor into drain mode immediately; the daemon sees
+/// exec.draining() and runs its bounded drain sequence.
 /// `default_client` is stamped onto query ops that carry no "client" field
 /// (servers pass the connection's peer address), so the guard's per-client
 /// fairness sees a stable identity even for clients that never set one.
 std::string handle_request_line(const std::string& line, QueryExecutor& exec,
                                 bool* shutdown_requested = nullptr,
-                                bool* drain_requested = nullptr,
                                 const std::string& default_client = {});
 
 /// Serialize a Response into the response document text.  `result` is

@@ -339,10 +339,7 @@ TEST(ProtocolCancel, DrainOpEntersDrainModeAndHealthReportsIt) {
   QueryExecutor exec;
   EXPECT_NE(handle_request_line(R"({"op":"health"})", exec).find("\"ok\""),
             std::string::npos);
-  bool drain = false;
-  const std::string line =
-      handle_request_line(R"({"op":"drain"})", exec, nullptr, &drain);
-  EXPECT_TRUE(drain);
+  const std::string line = handle_request_line(R"({"op":"drain"})", exec);
   EXPECT_NE(line.find("\"draining\":true"), std::string::npos) << line;
   EXPECT_TRUE(exec.draining());
   EXPECT_NE(handle_request_line(R"({"op":"health"})", exec)
@@ -357,7 +354,9 @@ TEST(ClientBudget, RetriesDrawFromOneDeadlineBudget) {
   // failure, so an unbudgeted client would burn the whole retry schedule.
   Server::Options so;
   so.port = 0;
-  Server garbage([](const std::string&, bool*) { return "not json"; }, so);
+  Server garbage(
+      [](const std::string&, const std::string&, bool*) { return "not json"; },
+      so);
   std::string error;
   ASSERT_TRUE(garbage.start(&error)) << error;
 

@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <thread>
@@ -781,6 +783,7 @@ class RawConn {
     if (fd_ >= 0) ::close(fd_);
   }
   bool ok() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
 
   bool send_all(const std::string& bytes) {
     std::size_t off = 0;
@@ -944,11 +947,77 @@ TEST(ServerFraming, HalfCloseMidRequestGetsNoAnswer) {
   RawConn conn(s.server->port());
   ASSERT_TRUE(conn.ok());
 
-  // A torn request (no newline) then EOF: same semantics as the blocking
-  // plane's LineChannel — the tail is dropped, no response, clean close.
+  // A torn request (no newline) then EOF: the tail is dropped, no
+  // response, clean close.
   ASSERT_TRUE(conn.send_all(R"({"op":"estimate","family":"Butter)"));
   conn.shutdown_write();
   EXPECT_TRUE(conn.read_eof());
+}
+
+// ---------------------------------------------------------- acceptor --
+
+/// Send one ping on a connected socket and wait up to 2 s for the pong.
+bool ping_answered(int fd) {
+  const timeval timeout{2, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const std::string ping = "{\"op\":\"ping\"}\n";
+  if (::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(ping.size())) {
+    return false;
+  }
+  std::string reply;
+  char chunk[256];
+  while (reply.find('\n') == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;  // timeout, EOF or error
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  return reply.find("\"pong\":true") != std::string::npos;
+}
+
+TEST(ServerAccept, FullFdTableDoesNotKillTheAcceptor) {
+  EchoServer s;
+  ASSERT_TRUE(s.started);
+
+  // RLIMIT_NOFILE is process-wide: restore it on every exit path, or the
+  // rest of a one-process test run inherits a full fd table.
+  struct RestoreLimit {
+    rlimit saved{};
+    ~RestoreLimit() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+  } restore;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &restore.saved), 0);
+
+  // Take the lowest free fd for the client, then cap the table just below
+  // the next free one: every fd the acceptor could get is in use, so its
+  // accept4 fails with EMFILE while the handshake completes in the backlog.
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  const int next_free = ::dup(client);
+  ASSERT_GE(next_free, 0);
+  ::close(next_free);
+  rlimit full = restore.saved;
+  full.rlim_cur = static_cast<rlim_t>(next_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &full), 0);
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(s.server->port());
+  const int connected =
+      ::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  const int connect_errno = errno;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &restore.saved), 0);
+  ASSERT_EQ(connected, 0) << std::strerror(connect_errno);
+
+  // With fds free again, the connection that waited in the backlog and a
+  // fresh one are both served.
+  EXPECT_TRUE(ping_answered(client));
+  ::close(client);
+  RawConn fresh(s.server->port());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(ping_answered(fresh.fd()));
+  EXPECT_TRUE(s.server->running());
 }
 
 // ---------------------------------------------------- connection churn --
