@@ -21,32 +21,6 @@ std::uint64_t doc_trace_id(const Json& request_doc) {
   return scope::parse_trace_id(request_doc["trace"].as_string());
 }
 
-scope::Counter& hedges_fired_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_fleet_hedges_fired_total", "Hedge attempts fired by the fleet");
-  return c;
-}
-
-scope::Counter& hedges_won_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_fleet_hedges_won_total", "Hedge attempts that answered first");
-  return c;
-}
-
-scope::Counter& breaker_transitions_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_fleet_breaker_transitions_total",
-      "Circuit-breaker state transitions observed by the fleet");
-  return c;
-}
-
-scope::Counter& cancels_fired_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_fleet_cancels_fired_total",
-      "Cancel verbs fired at hedge losers after a winner answered");
-  return c;
-}
-
 }  // namespace
 
 // Shared scoreboard for one hedged request: the primary and (maybe) hedge
@@ -66,11 +40,11 @@ struct FleetRouter::HedgeState {
 
 FleetRouter::FleetRouter(Options options)
     : options_(std::move(options)),
+      m_{metrics_},
       started_(std::chrono::steady_clock::now()) {
   // Sheds must surface to the router (which fails them over) instead of
   // being absorbed by the client's own retry_after sleep.
   options_.client.retry_overloaded = false;
-  options_.latency_window = std::max<std::size_t>(1, options_.latency_window);
   for (auto& cfg : options_.backends) {
     if (cfg.id.empty()) cfg.id = "127.0.0.1:" + std::to_string(cfg.port);
     auto b = std::make_unique<Backend>();
@@ -207,7 +181,7 @@ void FleetRouter::note_breaker_locked(Backend& b, std::uint64_t now,
                                       std::uint64_t trace_id) const {
   const BackendHealth::State s = b.health.state(now);
   if (s == b.last_state) return;
-  breaker_transitions_counter().inc();
+  m_.breaker_transitions.inc();
   scope::FlightRecorder::global().record(
       scope::FlightRecorder::Kind::kBreaker, trace_id,
       "backend " + b.config.id + ": " +
@@ -219,30 +193,12 @@ void FleetRouter::note_breaker_locked(Backend& b, std::uint64_t now,
 std::optional<std::uint64_t> FleetRouter::hedge_delay_ms() const {
   if (!options_.hedge) return std::nullopt;
   if (options_.hedge_fixed_ms > 0) return options_.hedge_fixed_ms;
-  std::vector<double> window;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (latency_ms_.size() < options_.hedge_min_samples) return std::nullopt;
-    window = latency_ms_;
-  }
-  std::size_t rank = static_cast<std::size_t>(
-      options_.hedge_percentile * static_cast<double>(window.size() - 1));
-  rank = std::min(rank, window.size() - 1);
-  std::nth_element(window.begin(), window.begin() + static_cast<long>(rank),
-                   window.end());
-  const auto delay = static_cast<std::uint64_t>(std::ceil(window[rank]));
+  const scope::Histogram::Snapshot latency = m_.request_us.snapshot();
+  if (latency.count < options_.hedge_min_samples) return std::nullopt;
+  const auto delay = static_cast<std::uint64_t>(
+      std::ceil(latency.quantile(options_.hedge_percentile) / 1000.0));
   return std::clamp(delay, options_.hedge_min_delay_ms,
                     options_.hedge_max_delay_ms);
-}
-
-void FleetRouter::record_latency(double ms) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (latency_ms_.size() < options_.latency_window) {
-    latency_ms_.push_back(ms);
-  } else {
-    latency_ms_[latency_next_] = ms;
-  }
-  latency_next_ = (latency_next_ + 1) % options_.latency_window;
 }
 
 void FleetRouter::fire_cancel(std::size_t index, std::uint64_t trace_id) {
@@ -253,9 +209,8 @@ void FleetRouter::fire_cancel(std::size_t index, std::uint64_t trace_id) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return;
     ++inflight_;
-    ++cancels_fired_;
   }
-  cancels_fired_counter().inc();
+  m_.cancels_fired.inc();
   scope::FlightRecorder::global().record(
       scope::FlightRecorder::Kind::kHedge, trace_id,
       "cancel fired at loser " + ids_[index]);
@@ -340,9 +295,9 @@ FleetRouter::Result FleetRouter::request(
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t tid = doc_trace_id(request_doc);
   scope::SpanTimer route_span(tid, "fleet.route");
+  m_.requests.inc();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ++requests_;
     ++active_requests_;
   }
   // Balanced on every exit path (the fleet daemon's drain polls inflight()).
@@ -384,15 +339,14 @@ FleetRouter::Result FleetRouter::request(
     out.backend = responder;
     route_span.set_note("backend=" + ids_[responder] + " tried=" +
                         std::to_string(out.backends_tried));
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    if (!a.shed) record_latency(elapsed_ms);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++answered_;
+    if (!a.shed) {
+      m_.request_us.observe(std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    m_.answered.inc();
     if (out.backends_tried > 1) {
-      failovers_ += static_cast<std::uint64_t>(out.backends_tried - 1);
+      m_.failovers.add(static_cast<std::uint64_t>(out.backends_tried - 1));
     }
   };
 
@@ -438,14 +392,13 @@ FleetRouter::Result FleetRouter::request(
         {
           std::lock_guard<std::mutex> lock(mutex_);
           secondary = next_allowed(order, pos);
-          if (secondary) ++hedges_fired_;
         }
         if (secondary) {
           hedge_index = *secondary;
           out.hedged = true;
           ++out.backends_tried;
           hedge_fired_us = scope::now_us();
-          hedges_fired_counter().inc();
+          m_.hedges_fired.inc();
           scope::FlightRecorder::global().record(
               scope::FlightRecorder::Kind::kHedge, tid,
               "fired at " + ids_[*secondary] + " (primary " +
@@ -466,9 +419,7 @@ FleetRouter::Result FleetRouter::request(
         loser_running = state->outstanding > 0;
         if (responder == hedge_index) {
           out.hedge_won = true;
-          hedges_won_counter().inc();
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++hedges_won_;
+          m_.hedges_won.inc();
         }
       } else if (state->have_loser) {
         a = std::move(state->loser);
@@ -527,12 +478,9 @@ FleetRouter::Result FleetRouter::request(
                   : "no backend answered; last: " + last_error;
   route_span.set_note("unanswered tried=" +
                       std::to_string(out.backends_tried));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++unanswered_;
-    if (out.backends_tried > 1) {
-      failovers_ += static_cast<std::uint64_t>(out.backends_tried - 1);
-    }
+  m_.unanswered.inc();
+  if (out.backends_tried > 1) {
+    m_.failovers.add(static_cast<std::uint64_t>(out.backends_tried - 1));
   }
   return out;
 }
@@ -588,15 +536,15 @@ std::size_t FleetRouter::inflight() const {
 }
 
 FleetRouter::Stats FleetRouter::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   Stats s;
-  s.requests = requests_;
-  s.answered = answered_;
-  s.unanswered = unanswered_;
-  s.failovers = failovers_;
-  s.hedges_fired = hedges_fired_;
-  s.hedges_won = hedges_won_;
-  s.cancels_fired = cancels_fired_;
+  s.requests = m_.requests.value();
+  s.answered = m_.answered.value();
+  s.unanswered = m_.unanswered.value();
+  s.failovers = m_.failovers.value();
+  s.hedges_fired = m_.hedges_fired.value();
+  s.hedges_won = m_.hedges_won.value();
+  s.cancels_fired = m_.cancels_fired.value();
+  std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t now = now_ms();
   for (const auto& bp : backends_) {
     Backend& b = *bp;  // unique_ptr does not propagate const to the pointee

@@ -15,9 +15,10 @@
 //     │            moves to the next hash choice — safe because every query
 //     │            op is idempotent (content-addressed results)
 //     └─ hedging (optional): if the primary has not answered by the hedge
-//        deadline (fixed, or an observed latency percentile), fire the same
-//        request at the next choice and take the first answer — tail
-//        latency from one slow/stalled backend stops being the fleet's tail
+//        deadline (fixed, or a percentile of the router's own
+//        netemu_fleet_request_us histogram), fire the same request at the
+//        next choice and take the first answer — tail latency from one
+//        slow/stalled backend stops being the fleet's tail
 //
 // A background probe thread keeps health fresh: it sends {"op":"health"} to
 // closed backends (liveness) and to half-open ones (recovery probes), so an
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "netemu/fleet/health.hpp"
+#include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/util/json.hpp"
 
@@ -63,15 +65,14 @@ class FleetRouter {
     /// Hedged requests: fire a second attempt when the primary is slower
     /// than the hedge deadline.
     bool hedge = false;
-    /// Fixed hedge deadline; 0 = adaptive (latency percentile below).
+    /// Fixed hedge deadline; 0 = adaptive: this percentile of the
+    /// router's lifetime netemu_fleet_request_us histogram.
     std::uint64_t hedge_fixed_ms = 0;
     double hedge_percentile = 0.95;
     std::uint64_t hedge_min_delay_ms = 2;
     std::uint64_t hedge_max_delay_ms = 1000;
     /// Adaptive hedging stays off until this many latency samples exist.
     std::size_t hedge_min_samples = 16;
-    /// Ring of recent request latencies feeding the percentile.
-    std::size_t latency_window = 256;
     /// Idle persistent connections kept per backend.
     std::size_t pool_per_backend = 8;
     /// Overload-aware routing: a backend whose last health probe reported
@@ -152,6 +153,8 @@ class FleetRouter {
     /// backends without a guard report queue fullness instead).
     double pressure = 0.0;
   };
+  /// Read-only snapshot for the `fleet` op: the router-level counts come
+  /// from metrics(), the per-backend ones from the breaker-locked fields.
   struct Stats {
     std::uint64_t requests = 0;    ///< request() calls
     std::uint64_t answered = 0;    ///< ... that returned a document
@@ -175,6 +178,11 @@ class FleetRouter {
   void stop();
 
   const Options& options() const { return options_; }
+
+  /// This router's metrics (docs/SCOPE.md): the netemu_fleet_* counters,
+  /// the latency histogram adaptive hedging reads, and the
+  /// netemu_scatter_* counters of any Scatterer over this router.
+  scope::Registry& metrics() { return metrics_; }
 
  private:
   struct Attempt {
@@ -215,7 +223,6 @@ class FleetRouter {
   std::optional<std::size_t> next_allowed(
       const std::vector<std::size_t>& order, std::size_t& pos);
   std::optional<std::uint64_t> hedge_delay_ms() const;
-  void record_latency(double ms);
   void spawn_attempt(std::size_t index, const Json& request_doc,
                      std::shared_ptr<HedgeState> state);
   /// Best-effort detached {"op":"cancel","trace":...} at a hedge loser so
@@ -223,22 +230,43 @@ class FleetRouter {
   void fire_cancel(std::size_t index, std::uint64_t trace_id);
   void probe_loop();
 
+  // This router's metrics, registered in metrics_ at construction.
+  struct Meters {
+    scope::Registry& r;
+    scope::Counter& requests =
+        r.counter("netemu_fleet_requests_total", "Requests routed by the fleet");
+    scope::Counter& answered = r.counter("netemu_fleet_answered_total",
+                                         "Routed requests a backend answered");
+    scope::Counter& unanswered = r.counter(
+        "netemu_fleet_unanswered_total", "Routed requests no backend answered");
+    scope::Counter& failovers =
+        r.counter("netemu_fleet_failovers_total",
+                  "Backends tried beyond the first, per request");
+    scope::Counter& hedges_fired = r.counter(
+        "netemu_fleet_hedges_fired_total", "Hedge attempts fired by the fleet");
+    scope::Counter& hedges_won = r.counter(
+        "netemu_fleet_hedges_won_total", "Hedge attempts that answered first");
+    scope::Counter& cancels_fired = r.counter(
+        "netemu_fleet_cancels_fired_total",
+        "Cancel verbs fired at hedge losers and satisfied scatter twins");
+    scope::Counter& breaker_transitions =
+        r.counter("netemu_fleet_breaker_transitions_total",
+                  "Circuit-breaker state transitions observed by the fleet");
+    scope::Histogram& request_us = r.histogram(
+        "netemu_fleet_request_us",
+        "Wall time of answered, non-shed routed requests (the adaptive hedge "
+        "delay is a quantile of it)");
+  };
+
   Options options_;
+  scope::Registry metrics_;
+  const Meters m_;
   std::vector<std::string> ids_;  // rendezvous identities, by index
   const std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Backend>> backends_;
-  std::uint64_t requests_ = 0;
-  std::uint64_t answered_ = 0;
-  std::uint64_t unanswered_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t hedges_fired_ = 0;
-  std::uint64_t hedges_won_ = 0;
-  std::uint64_t cancels_fired_ = 0;
   std::size_t active_requests_ = 0;  ///< request() calls executing now
-  std::vector<double> latency_ms_;  // ring buffer
-  std::size_t latency_next_ = 0;
 
   bool stopping_ = false;
   int inflight_ = 0;  ///< detached attempt threads still running

@@ -18,20 +18,6 @@ namespace {
 
 constexpr std::size_t kNoBackend = static_cast<std::size_t>(-1);
 
-scope::Counter& subqueries_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_scatter_subqueries_total",
-      "Trial-range sub-queries dispatched by the scatterer");
-  return c;
-}
-
-scope::Counter& straggler_retries_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_scatter_straggler_retries_total",
-      "Straggling sub-queries re-dispatched at another backend");
-  return c;
-}
-
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -69,7 +55,7 @@ struct Scatterer::ScatterState {
 };
 
 Scatterer::Scatterer(FleetRouter& router, Options options)
-    : router_(router), options_(std::move(options)) {}
+    : router_(router), options_(std::move(options)), m_{router.metrics()} {}
 
 Scatterer::~Scatterer() {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -101,8 +87,11 @@ void Scatterer::spawn_sub(const std::shared_ptr<ScatterState>& state,
     ScatterState::Sub& sub = state->subs[sub_index];
     if (is_retry) {
       // The retry is the same range under its OWN trace id, steered away
-      // from the backend presumed stuck.
-      doc = sub.doc;
+      // from the backend presumed stuck.  Rebuilt field by field: Json
+      // copies share structure, and the first attempt's thread may still
+      // be serializing sub.doc.
+      doc = Json::object();
+      for (const auto& [k, v] : sub.doc.fields()) doc[k] = v;
       doc["trace"] = hex64(sub.retry_trace_id);
       exclude = sub.presumed;
     } else {
@@ -204,12 +193,8 @@ std::string Scatterer::scatter_line(const Json& request) {
   }
 
   if (options_.phase_hook) options_.phase_hook("dispatch");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.scatters;
-    stats_.subqueries += ways;
-  }
-  subqueries_counter().add(ways);
+  m_.scatters.inc();
+  m_.subqueries.add(ways);
   for (std::size_t i = 0; i < ways; ++i) spawn_sub(state, i, false);
 
   // Gather: wait for every sub-query to settle (an ok answer, or every
@@ -254,7 +239,7 @@ std::string Scatterer::scatter_line(const Json& request) {
             }
             ++sub.attempts_outstanding;
             ++retries_fired;
-            straggler_retries_counter().inc();
+            m_.straggler_retries.inc();
             scope::FlightRecorder::global().record(
                 scope::FlightRecorder::Kind::kHedge, sub.retry_trace_id,
                 "scatter straggler retry: trials [" +
@@ -273,10 +258,6 @@ std::string Scatterer::scatter_line(const Json& request) {
       }
       state->cv.wait_for(sl, std::chrono::milliseconds(10), settled);
     }
-  }
-  if (retries_fired > 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.straggler_retries += retries_fired;
   }
   if (options_.phase_hook) options_.phase_hook("pre-merge");
 
@@ -302,8 +283,7 @@ std::string Scatterer::scatter_line(const Json& request) {
     }
 
     if (oks.empty()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.failed;
+      m_.failed.inc();
       merge_span.set_note("failed");
       scatter_span.set_note("failed ways=" + std::to_string(ways));
       Json doc = Json::object();
@@ -371,14 +351,7 @@ std::string Scatterer::scatter_line(const Json& request) {
       merged["trial_ranges"] = std::move(ranges);
     }
 
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (full) {
-        ++stats_.merged_full;
-      } else {
-        ++stats_.merged_degraded;
-      }
-    }
+    (full ? m_.merged_full : m_.merged_degraded).inc();
     merge_span.set_note(full ? "full" : "degraded");
     scatter_span.set_note("ways=" + std::to_string(ways) + " retries=" +
                           std::to_string(retries_fired) +
@@ -398,8 +371,12 @@ std::string Scatterer::scatter_line(const Json& request) {
 }
 
 Scatterer::Stats Scatterer::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  return {.scatters = m_.scatters.value(),
+          .subqueries = m_.subqueries.value(),
+          .straggler_retries = m_.straggler_retries.value(),
+          .merged_full = m_.merged_full.value(),
+          .merged_degraded = m_.merged_degraded.value(),
+          .failed = m_.failed.value()};
 }
 
 }  // namespace netemu

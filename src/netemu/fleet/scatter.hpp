@@ -79,6 +79,8 @@ class Scatterer {
   /// eligible() said yes; concurrency-safe.
   std::string scatter_line(const Json& request);
 
+  /// Read-only snapshot of the netemu_scatter_* counters, which live in
+  /// the router's registry: every Scatterer over one router adds to them.
   struct Stats {
     std::uint64_t scatters = 0;          ///< requests decomposed
     std::uint64_t subqueries = 0;        ///< sub-queries dispatched
@@ -95,14 +97,37 @@ class Scatterer {
   void spawn_sub(const std::shared_ptr<ScatterState>& state,
                  std::size_t sub_index, bool is_retry);
 
+  // The netemu_scatter_* metrics, registered in the router's registry.
+  struct Meters {
+    scope::Registry& r;
+    scope::Counter& scatters =
+        r.counter("netemu_scatter_sweeps_total",
+                  "Estimate sweeps decomposed into sub-queries");
+    scope::Counter& subqueries =
+        r.counter("netemu_scatter_subqueries_total",
+                  "Trial-range sub-queries dispatched by the scatterer");
+    scope::Counter& straggler_retries =
+        r.counter("netemu_scatter_straggler_retries_total",
+                  "Straggling sub-queries re-dispatched at another backend");
+    scope::Counter& merged_full =
+        r.counter("netemu_scatter_merged_full_total",
+                  "Scattered sweeps merged over every trial");
+    scope::Counter& merged_degraded =
+        r.counter("netemu_scatter_merged_degraded_total",
+                  "Scattered sweeps returned as degraded partial merges");
+    scope::Counter& failed =
+        r.counter("netemu_scatter_failed_total",
+                  "Scattered sweeps where no sub-query answered");
+  };
+
   FleetRouter& router_;
   Options options_;
+  const Meters m_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable idle_cv_;
   std::size_t outstanding_ = 0;  ///< dispatch threads still running
   bool stopping_ = false;
-  Stats stats_;
 };
 
 }  // namespace netemu

@@ -5,45 +5,6 @@
 
 namespace netemu::guard {
 
-namespace {
-
-scope::Counter& shed_rate_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_guard_rate_limited_total",
-      "Queries shed because the client's token bucket was empty");
-  return c;
-}
-
-scope::Counter& shed_share_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_guard_share_exceeded_total",
-      "Queries shed because the client exceeded its fair-share cost cap");
-  return c;
-}
-
-scope::Counter& brownout_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_guard_brownouts_total",
-      "Estimate queries served with a reduced trial sweep under pressure");
-  return c;
-}
-
-scope::Gauge& limit_gauge() {
-  static scope::Gauge& g = scope::Registry::global().gauge(
-      "netemu_guard_cost_limit",
-      "AIMD-effective admission cost limit, in cost units");
-  return g;
-}
-
-scope::Gauge& pressure_gauge() {
-  static scope::Gauge& g = scope::Registry::global().gauge(
-      "netemu_guard_pressure",
-      "Pending admitted cost over the effective limit (>= 1 = gate closed)");
-  return g;
-}
-
-}  // namespace
-
 void DrainRate::note(double busy_ms, std::uint64_t cost,
                      std::size_t workers) {
   if (busy_ms < 0.0 || cost == 0) return;
@@ -69,9 +30,9 @@ std::uint64_t DrainRate::hint_ms(double backlog_units,
   return static_cast<std::uint64_t>(std::clamp(raw, lo, 10000.0));
 }
 
-Guard::Guard(Options options, const scope::Histogram* execute_hist)
+Guard::Guard(Options options, scope::Registry& metrics)
     : options_(std::move(options)),
-      execute_hist_(execute_hist),
+      m_{metrics},
       started_(std::chrono::steady_clock::now()) {
   if (options_.cost_budget == 0) options_.cost_budget = 512;
   if (options_.rate_units_per_s > 0.0 && options_.rate_burst_units <= 0.0) {
@@ -83,7 +44,7 @@ Guard::Guard(Options options, const scope::Histogram* execute_hist)
   options_.limit_ceiling =
       std::max(options_.limit_floor, options_.limit_ceiling);
   limit_ = static_cast<double>(options_.cost_budget);
-  limit_gauge().set(limit_);
+  m_.limit.set(limit_);
 }
 
 std::uint64_t Guard::now_ms() const {
@@ -134,11 +95,11 @@ void Guard::evict_idle_locked(std::uint64_t now) {
 }
 
 void Guard::maybe_adjust_locked(std::uint64_t now) {
-  if (!options_.adaptive || execute_hist_ == nullptr) return;
+  if (!options_.adaptive) return;
   if (now - last_adjust_ms_ < options_.adjust_interval_ms) return;
   last_adjust_ms_ = now;
 
-  const scope::Histogram::Snapshot cur = execute_hist_->snapshot();
+  const scope::Histogram::Snapshot cur = m_.execute_us.snapshot();
   if (!have_snapshot_) {
     last_snapshot_ = cur;
     have_snapshot_ = true;
@@ -163,14 +124,14 @@ void Guard::maybe_adjust_locked(std::uint64_t now) {
       options_.limit_ceiling * static_cast<double>(options_.cost_budget);
   if (p95_ms > options_.target_p95_ms) {
     limit_ = std::max(floor, limit_ * options_.decrease_factor);
-    ++counters_.limit_decreases;
+    m_.limit_decreases.inc();
   } else {
     limit_ = std::min(
         ceiling, limit_ + options_.increase_fraction *
                               static_cast<double>(options_.cost_budget));
-    ++counters_.limit_increases;
+    m_.limit_increases.inc();
   }
-  limit_gauge().set(limit_);
+  m_.limit.set(limit_);
 }
 
 Guard::Decision Guard::admit(const std::string& client, const Query& q,
@@ -184,8 +145,7 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   // Rate limit first: it holds even on an idle executor (an idle server is
   // exactly when a greedy client could otherwise burn the whole budget).
   if (options_.rate_units_per_s > 0.0 && c.tokens < 1.0) {
-    ++counters_.shed_rate;
-    shed_rate_counter().inc();
+    m_.shed_rate.inc();
     d.admit = false;
     d.reason = "client rate limited";
     // Hint: time until one unit of credit exists again.
@@ -201,7 +161,7 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   // reason.
   if (pending_cost_ > 0 &&
       static_cast<double>(pending_cost_ + cost) > limit_) {
-    ++counters_.shed_backlog;
+    m_.shed_backlog.inc();
     d.admit = false;
     d.reason = "cost budget full";
     return d;  // retry hint: executor's drain-rate estimate
@@ -209,8 +169,7 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   const double share_cap = options_.client_share * limit_;
   if (c.in_flight_cost > 0 &&
       static_cast<double>(c.in_flight_cost + cost) > share_cap) {
-    ++counters_.shed_share;
-    shed_share_counter().inc();
+    m_.shed_share.inc();
     d.admit = false;
     d.reason = "client over fair share";
     return d;
@@ -225,7 +184,7 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   }
   c.in_flight_cost += cost;
   pending_cost_ += cost;
-  ++counters_.admitted;
+  m_.admitted.inc();
 
   // Brownout: under sustained pressure, estimates keep answering — with a
   // reduced sweep, marked degraded, never cached — before anything sheds.
@@ -240,10 +199,9 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
         static_cast<double>(q.trials) * options_.brownout_keep));
     d.trials = std::clamp(kept, options_.brownout_min_trials, q.trials - 1);
     d.brownout = true;
-    ++counters_.brownouts;
-    brownout_counter().inc();
+    m_.brownouts.inc();
   }
-  pressure_gauge().set(static_cast<double>(pending_cost_) / limit_);
+  m_.pressure.set(static_cast<double>(pending_cost_) / limit_);
   return d;
 }
 
@@ -257,7 +215,7 @@ void Guard::complete(const std::string& client, std::uint64_t cost) {
   }
   const std::uint64_t now = now_ms();
   maybe_adjust_locked(now);
-  pressure_gauge().set(static_cast<double>(pending_cost_) / limit_);
+  m_.pressure.set(static_cast<double>(pending_cost_) / limit_);
 }
 
 void Guard::release(const std::string& client, std::uint64_t cost) {
@@ -268,7 +226,7 @@ void Guard::release(const std::string& client, std::uint64_t cost) {
     it->second.in_flight_cost -=
         std::min(it->second.in_flight_cost, cost);
   }
-  pressure_gauge().set(static_cast<double>(pending_cost_) / limit_);
+  m_.pressure.set(static_cast<double>(pending_cost_) / limit_);
 }
 
 double Guard::pressure() const {
@@ -291,11 +249,6 @@ std::size_t Guard::clients_tracked() const {
   return clients_.size();
 }
 
-Guard::Counters Guard::counters() const {
-  std::lock_guard lock(mutex_);
-  return counters_;
-}
-
 Json Guard::to_json() const {
   std::lock_guard lock(mutex_);
   Json doc = Json::object();
@@ -305,15 +258,15 @@ Json Guard::to_json() const {
   doc["pending_cost"] = pending_cost_;
   doc["pressure"] =
       limit_ > 0.0 ? static_cast<double>(pending_cost_) / limit_ : 0.0;
-  doc["adaptive"] = options_.adaptive && execute_hist_ != nullptr;
+  doc["adaptive"] = options_.adaptive;
   doc["clients"] = clients_.size();
-  doc["admitted"] = counters_.admitted;
-  doc["shed_backlog"] = counters_.shed_backlog;
-  doc["shed_share"] = counters_.shed_share;
-  doc["shed_rate"] = counters_.shed_rate;
-  doc["brownouts"] = counters_.brownouts;
-  doc["limit_increases"] = counters_.limit_increases;
-  doc["limit_decreases"] = counters_.limit_decreases;
+  doc["admitted"] = m_.admitted.value();
+  doc["shed_backlog"] = m_.shed_backlog.value();
+  doc["shed_share"] = m_.shed_share.value();
+  doc["shed_rate"] = m_.shed_rate.value();
+  doc["brownouts"] = m_.brownouts.value();
+  doc["limit_increases"] = m_.limit_increases.value();
+  doc["limit_decreases"] = m_.limit_decreases.value();
   return doc;
 }
 

@@ -12,9 +12,9 @@
 //    fair-share cap on in-flight cost, so a flood from one client sheds
 //    that client, not everybody;
 //  * adaptive concurrency: an AIMD controller resizes the effective cost
-//    limit between a floor and a ceiling from the observed executor.execute
-//    latency histogram (scope) — p95 above target multiplies the limit
-//    down, p95 at/below target adds a fixed increment back;
+//    limit between a floor and a ceiling from its executor's
+//    netemu_execute_us histogram (scope) — p95 above target multiplies the
+//    limit down, p95 at/below target adds a fixed increment back;
 //  * brownout: above a pressure threshold, estimate queries are served with
 //    a reduced trial sweep, marked "degraded":true and never cached, before
 //    the guard ever sheds them.
@@ -22,7 +22,8 @@
 // The Guard itself is a decision box: the executor asks admit() before a
 // flight is created, reports complete() when one finishes, and reads
 // pressure()/to_json() for the health report.  It takes its own lock and
-// may be called under the executor's.
+// may be called under the executor's.  Its counts live only in the
+// netemu_guard_* metrics of the registry it is given (its executor's).
 
 #include <chrono>
 #include <cstdint>
@@ -124,10 +125,11 @@ class Guard {
     std::uint64_t retry_after_ms = 0;
   };
 
-  /// `execute_hist` feeds the AIMD controller (the scope histogram the
-  /// executor records every request's residency into); may be null, which
-  /// disables adaptation.  Not owned; must outlive the guard.
-  Guard(Options options, const scope::Histogram* execute_hist);
+  /// Registers the netemu_guard_* metrics in `metrics` (its executor's
+  /// registry) and feeds the AIMD controller from that registry's
+  /// netemu_execute_us histogram, the residency of every request the
+  /// executor answers.  Not owned; must outlive the guard.
+  Guard(Options options, scope::Registry& metrics);
 
   /// Admission decision for one query about to become a flight leader.
   /// On admit the cost is charged (pending cost, client bucket + share);
@@ -151,18 +153,8 @@ class Guard {
   std::uint64_t effective_limit() const;
   std::size_t clients_tracked() const;
 
-  struct Counters {
-    std::uint64_t admitted = 0;
-    std::uint64_t shed_backlog = 0;   ///< cost budget full
-    std::uint64_t shed_share = 0;     ///< client over fair share
-    std::uint64_t shed_rate = 0;      ///< client token bucket empty
-    std::uint64_t brownouts = 0;      ///< admits degraded by brownout
-    std::uint64_t limit_increases = 0;
-    std::uint64_t limit_decreases = 0;
-  };
-  Counters counters() const;
-
-  /// Health-report block: enabled, limit, pending, pressure, counters.
+  /// Health-report block: enabled, limit, pending, pressure, and the
+  /// netemu_guard_* counters under their health field names.
   Json to_json() const;
 
   const Options& options() const { return options_; }
@@ -182,15 +174,46 @@ class Guard {
   void maybe_adjust_locked(std::uint64_t now);
   void evict_idle_locked(std::uint64_t now);
 
+  // The netemu_guard_* metrics, registered in the executor's registry.
+  struct Meters {
+    scope::Registry& r;
+    scope::Counter& admitted =
+        r.counter("netemu_guard_admitted_total", "Queries the guard admitted");
+    scope::Counter& shed_backlog = r.counter(
+        "netemu_guard_budget_full_total",
+        "Queries shed because the admitted cost budget was full");
+    scope::Counter& shed_share = r.counter(
+        "netemu_guard_share_exceeded_total",
+        "Queries shed because the client exceeded its fair-share cost cap");
+    scope::Counter& shed_rate = r.counter(
+        "netemu_guard_rate_limited_total",
+        "Queries shed because the client's token bucket was empty");
+    scope::Counter& brownouts = r.counter(
+        "netemu_guard_brownouts_total",
+        "Estimate queries admitted with a reduced trial sweep under pressure");
+    scope::Counter& limit_increases =
+        r.counter("netemu_guard_limit_increases_total",
+                  "AIMD additive increases of the cost limit");
+    scope::Counter& limit_decreases =
+        r.counter("netemu_guard_limit_decreases_total",
+                  "AIMD multiplicative decreases of the cost limit");
+    scope::Gauge& limit =
+        r.gauge("netemu_guard_cost_limit",
+                "AIMD-effective admission cost limit, in cost units");
+    scope::Gauge& pressure = r.gauge(
+        "netemu_guard_pressure",
+        "Pending admitted cost over the effective limit (>= 1 = gate closed)");
+    const scope::Histogram& execute_us = r.histogram("netemu_execute_us");
+  };
+
   Options options_;
-  const scope::Histogram* execute_hist_;
+  const Meters m_;
   const std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, ClientState> clients_;
   std::uint64_t pending_cost_ = 0;
   double limit_ = 0.0;  ///< AIMD-effective cost limit
-  Counters counters_;
   std::uint64_t last_adjust_ms_ = 0;
   scope::Histogram::Snapshot last_snapshot_;
   bool have_snapshot_ = false;

@@ -1,7 +1,9 @@
 #include "netemu/scope/exposition.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "netemu/scope/flight_recorder.hpp"
 #include "netemu/scope/trace.hpp"
@@ -41,13 +43,28 @@ Json histogram_to_json(const Histogram::Snapshot& h) {
   return doc;
 }
 
+std::vector<Registry::Sample> merged_snapshot(
+    std::initializer_list<const Registry*> registries) {
+  std::vector<Registry::Sample> out;
+  for (const Registry* registry : registries) {
+    for (Registry::Sample& s : registry->snapshot()) {
+      out.push_back(std::move(s));
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Registry::Sample& a, const Registry::Sample& b) {
+              return a.name < b.name;
+            });
+  return out;
+}
+
 }  // namespace
 
-Json registry_to_json(const Registry& registry) {
+Json registry_to_json(std::initializer_list<const Registry*> registries) {
   Json counters = Json::object();
   Json gauges = Json::object();
   Json histograms = Json::object();
-  for (const Registry::Sample& s : registry.snapshot()) {
+  for (const Registry::Sample& s : merged_snapshot(registries)) {
     switch (s.kind) {
       case MetricKind::kCounter: counters[s.name] = s.counter; break;
       case MetricKind::kGauge: gauges[s.name] = s.gauge; break;
@@ -64,9 +81,10 @@ Json registry_to_json(const Registry& registry) {
   return doc;
 }
 
-std::string registry_to_prometheus(const Registry& registry) {
+std::string registry_to_prometheus(
+    std::initializer_list<const Registry*> registries) {
   std::string out;
-  for (const Registry::Sample& s : registry.snapshot()) {
+  for (const Registry::Sample& s : merged_snapshot(registries)) {
     if (!s.help.empty()) {
       out += "# HELP " + s.name + " " + s.help + "\n";
     }

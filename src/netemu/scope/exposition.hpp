@@ -13,6 +13,7 @@
 // emitted (plus the +Inf catch-all), so a freshly started process costs a
 // few hundred bytes, not kBuckets lines per histogram.
 
+#include <initializer_list>
 #include <string>
 
 #include "netemu/scope/metrics.hpp"
@@ -20,13 +21,16 @@
 
 namespace netemu::scope {
 
-/// JSON rendering of a registry snapshot.
-Json registry_to_json(const Registry& registry);
+/// JSON rendering of the snapshots of one or more registries, merged and
+/// sorted by name (the `stats` op renders its executor's registry beside
+/// the global one).  Metric names must be disjoint across the registries.
+Json registry_to_json(std::initializer_list<const Registry*> registries);
 
-/// Prometheus text exposition (version 0.0.4) of a registry snapshot.
+/// Prometheus text exposition (version 0.0.4) of the same merged snapshot.
 /// Metric names must already be Prometheus-legal ([a-zA-Z_:][a-zA-Z0-9_:]*);
 /// the netemu metric catalog is (docs/SCOPE.md).
-std::string registry_to_prometheus(const Registry& registry);
+std::string registry_to_prometheus(
+    std::initializer_list<const Registry*> registries);
 
 /// Recent flight-recorder events as a JSON array (newest last).
 Json flight_recorder_to_json(std::size_t max_events = 256);

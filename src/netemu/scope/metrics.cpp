@@ -190,6 +190,15 @@ Histogram& Registry::histogram(const std::string& name,
   return *it->second.histogram;
 }
 
+std::uint64_t Registry::counter_value(const std::string& name) const {
+  std::lock_guard lock(mutex_);
+  const auto it = metrics_.find(name);
+  if (it == metrics_.end() || it->second.kind != MetricKind::kCounter) {
+    return 0;
+  }
+  return it->second.counter->value();
+}
+
 std::vector<Registry::Sample> Registry::snapshot() const {
   std::lock_guard lock(mutex_);
   std::vector<Sample> out;

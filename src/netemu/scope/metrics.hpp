@@ -139,11 +139,15 @@ double exact_quantile(std::vector<double> samples, double q);
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 /// Named-metric registry.  register-or-lookup returns a stable reference;
-/// call sites fetch their metric once (function-local static) and record
-/// lock-free thereafter.
+/// call sites fetch their metric once (a function-local static, or a member
+/// reference taken at construction) and record lock-free thereafter.
+///
+/// Two scopes (docs/SCOPE.md): the process-wide global() holds the
+/// simulator and I/O metrics; every QueryExecutor and FleetRouter owns one
+/// more, so several executors or routers in one process count apart.
 class Registry {
  public:
-  /// The process-wide registry every subsystem records into.
+  /// The process-wide registry (simulator and I/O metrics).
   static Registry& global();
 
   Registry() = default;
@@ -155,6 +159,10 @@ class Registry {
   Counter& counter(const std::string& name, const std::string& help = "");
   Gauge& gauge(const std::string& name, const std::string& help = "");
   Histogram& histogram(const std::string& name, const std::string& help = "");
+
+  /// Value of the counter registered as `name`; 0 when none is.  A pure
+  /// read: unlike counter(), it never registers anything.
+  std::uint64_t counter_value(const std::string& name) const;
 
   struct Sample {
     std::string name;

@@ -21,69 +21,13 @@ double micros_since(Clock::time_point start) {
       .count();
 }
 
-// Process-global views of executor activity (scope registry).  These are
-// deliberately separate from the per-executor Stats/Histogram: a process may
-// host several executors (tests do), and the registry aggregates them all
-// for the `stats` op and Prometheus exposition.
-scope::Histogram& compute_us_hist() {
-  static scope::Histogram& h = scope::Registry::global().histogram(
-      "netemu_compute_us", "Planner compute wall time per computed query");
-  return h;
-}
-
-scope::Histogram& execute_us_hist() {
-  static scope::Histogram& h = scope::Registry::global().histogram(
-      "netemu_execute_us",
-      "Executor residency per request (hits, sheds, and computes alike)");
-  return h;
-}
-
-scope::Counter& requests_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_requests_total", "Requests accepted by any executor");
-  return c;
-}
-
-scope::Counter& cache_hits_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_cache_hits_total", "Requests answered from the result cache");
-  return c;
-}
-
-scope::Counter& shed_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_shed_total", "Requests shed by admission control");
-  return c;
-}
-
-scope::Counter& watchdog_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_watchdog_cancellations_total",
-      "Hung flights cancelled by the executor watchdog");
-  return c;
-}
-
-scope::Counter& compute_cancelled_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_compute_cancelled_total",
-      "Computes stopped mid-way by cooperative cancellation "
-      "(degraded partial results included)");
-  return c;
-}
-
-scope::Counter& reclaimed_cpu_counter() {
-  static scope::Counter& c = scope::Registry::global().counter(
-      "netemu_compute_reclaimed_cpu_ms_total",
-      "Estimated CPU milliseconds returned to the pool by cancelling "
-      "compute instead of letting it finish");
-  return c;
-}
 }  // namespace
 
 QueryExecutor::QueryExecutor() : QueryExecutor(Options()) {}
 
 QueryExecutor::QueryExecutor(Options options)
     : options_(std::move(options)),
+      m_{metrics_},
       cache_(options_.cache_capacity, options_.cache_file,
              options_.cache_journal),
       pool_(options_.threads) {
@@ -107,8 +51,7 @@ QueryExecutor::QueryExecutor(Options options)
           8 * static_cast<std::uint64_t>(
                   std::max<std::size_t>(1, options_.max_queue));
     }
-    guard_ = std::make_unique<guard::Guard>(std::move(gopts),
-                                            &execute_us_hist());
+    guard_ = std::make_unique<guard::Guard>(std::move(gopts), metrics_);
     sched_ = std::make_unique<guard::FairScheduler>(
         pool_, guard::FairScheduler::Options{});
   }
@@ -152,7 +95,6 @@ void QueryExecutor::watchdog_loop() {
         // stops (within one check quantum) instead of burning a worker
         // until it finishes into an abandoned flight.
         f.cancel.request_cancel();
-        ++stats_.hung;
         --pending_;  // free the admission slot its leader occupied
         pending_cost_units_ -= std::min(pending_cost_units_, f.cost);
         hung.push_back(it->second);
@@ -163,7 +105,7 @@ void QueryExecutor::watchdog_loop() {
     }
     if (hung.empty()) continue;
     for (const auto& flight : hung) {
-      watchdog_counter().inc();
+      m_.hung.inc();
       scope::FlightRecorder::global().record(
           scope::FlightRecorder::Kind::kWatchdog, flight->trace_id,
           "flight key=" + hex64(flight->key) + " cancelled after " +
@@ -205,25 +147,20 @@ std::optional<Response> QueryExecutor::try_cached(const Query& q) {
   if (!cached) return std::nullopt;
 
   scope::SpanTimer exec_span(tid, "executor.execute");
-  requests_counter().inc();
+  m_.requests.inc();
   {
     scope::SpanTimer probe(tid, "cache.probe");
     probe.set_note("hit");
   }
-  cache_hits_counter().inc();
+  m_.cache_hits.inc();
   Response response;
   response.key = key;
   response.trace_id = tid;
-  {
-    std::lock_guard lock(mutex_);
-    ++stats_.requests;
-    ++stats_.cache_hits;
-  }
   response.ok = true;
   response.cache_hit = true;
   response.result = std::move(*cached);
   response.micros = micros_since(start);
-  execute_us_hist().observe(response.micros);
+  m_.execute_us.observe(response.micros);
   return response;
 }
 
@@ -234,7 +171,7 @@ Response QueryExecutor::execute(const Query& q) {
   // Whole-residency span; destroyed (and recorded) last, after the waiter
   // has its answer, so it closes every trace's span list.
   scope::SpanTimer exec_span(tid, "executor.execute");
-  requests_counter().inc();
+  m_.requests.inc();
 
   Response response;
   response.key = key;
@@ -242,8 +179,15 @@ Response QueryExecutor::execute(const Query& q) {
 
   const auto finish = [&](Response& r) -> Response& {
     r.micros = micros_since(start);
-    execute_us_hist().observe(r.micros);
+    m_.execute_us.observe(r.micros);
     return r;
+  };
+  const auto hit = [&](std::string result) -> Response& {
+    m_.cache_hits.inc();
+    response.ok = true;
+    response.cache_hit = true;
+    response.result = std::move(result);
+    return finish(response);
   };
 
   // refresh=true forces a recompute: skip the cache read but keep every
@@ -253,14 +197,7 @@ Response QueryExecutor::execute(const Query& q) {
     if (auto cached = cache_.get(key)) {
       probe.set_note("hit");
       probe.finish();
-      cache_hits_counter().inc();
-      std::lock_guard lock(mutex_);
-      ++stats_.requests;
-      ++stats_.cache_hits;
-      response.ok = true;
-      response.cache_hit = true;
-      response.result = std::move(*cached);
-      return finish(response);
+      return hit(std::move(*cached));
     }
     probe.set_note("miss");
     probe.finish();
@@ -276,16 +213,23 @@ Response QueryExecutor::execute(const Query& q) {
   unsigned brownout_trials = 0;  // 0 = serve the full sweep
   {
     std::lock_guard lock(mutex_);
-    ++stats_.requests;
     const auto it = flights_.find(key);
     if (it != flights_.end()) {
       flight = it->second;
       ++flight->waiters;
-      ++stats_.dedup_joins;
+      m_.dedup_joins.inc();
     } else {
+      // A leader writes the cache before it unregisters its flight, so a
+      // key that missed the probe above and has no flight now may have
+      // landed in between: look once more, under the lock, instead of
+      // computing it again.
+      if (!q.refresh) {
+        if (auto cached = cache_.get_if_hit(key)) {
+          return hit(std::move(*cached));
+        }
+      }
       if (draining_) {
-        ++stats_.rejected;
-        shed_counter().inc();
+        m_.shed.inc();
         scope::FlightRecorder::global().record(
             scope::FlightRecorder::Kind::kShed, tid,
             "draining: new flight refused key=" + hex64(key));
@@ -299,8 +243,7 @@ Response QueryExecutor::execute(const Query& q) {
         return finish(response);
       }
       if (pending_ >= options_.max_queue) {
-        ++stats_.rejected;
-        shed_counter().inc();
+        m_.shed.inc();
         scope::FlightRecorder::global().record(
             scope::FlightRecorder::Kind::kShed, tid,
             "admission queue full: pending=" + std::to_string(pending_) +
@@ -317,8 +260,7 @@ Response QueryExecutor::execute(const Query& q) {
         const guard::Guard::Decision decision =
             guard_->admit(client, q, cost);
         if (!decision.admit) {
-          ++stats_.rejected;
-          shed_counter().inc();
+          m_.shed.inc();
           scope::FlightRecorder::global().record(
               scope::FlightRecorder::Kind::kShed, tid,
               "guard shed (" + decision.reason + "): client=" + client +
@@ -403,7 +345,7 @@ Response QueryExecutor::execute(const Query& q) {
       else if (computed.degraded) sim_span.set_note("degraded");
       sim_span.finish();
       const double compute_micros = micros_since(compute_start);
-      record_compute_micros(compute_micros);
+      m_.compute_us.observe(compute_micros);
       if (unwound || computed.degraded) {
         // Reclaimed-CPU estimate: a degraded sweep that finished c of T
         // trials in E ms would have needed roughly E*(T-c)/c more; a full
@@ -424,8 +366,8 @@ Response QueryExecutor::execute(const Query& q) {
           reclaimed_ms = elapsed_ms * (total - done_trials) /
                          std::max(done_trials, 1.0);
         }
-        compute_cancelled_counter().inc();
-        reclaimed_cpu_counter().add(
+        m_.cancelled.inc();
+        m_.reclaimed_cpu_ms.add(
             static_cast<std::uint64_t>(std::max(0.0, reclaimed_ms)));
         if (tid != 0) {
           scope::TraceStore::global().add(
@@ -447,37 +389,14 @@ Response QueryExecutor::execute(const Query& q) {
           computed.result = std::move(*stale);
         }
       }
-      {
-        std::lock_guard lock(mutex_);
-        if (unwound || computed.degraded) ++stats_.cancelled;
-        if (computed.stale) {
-          ++stats_.errors;
-          ++stats_.stale_served;
-        } else if (computed.ok) {
-          ++stats_.computed;
-          if (brownout_trials > 0) ++stats_.browned_out;
-        } else {
-          ++stats_.errors;
-        }
-        // Drain-rate sample: only full, uncancelled, unbrowned computes —
-        // a sweep that quit early (or was shortened by policy) would make
-        // the per-unit estimate optimistic.
-        if (computed.ok && !computed.stale && !computed.degraded &&
-            brownout_trials == 0) {
-          drain_rate_.note(compute_micros / 1000.0, flight->cost,
-                           pool_.size());
-        }
-        // The watchdog may have abandoned this flight (erasing it and
-        // freeing its slot); only unregister what is still registered, and
-        // never double-decrement pending_.
-        const auto it = flights_.find(key);
-        if (it != flights_.end() && it->second == flight) {
-          flights_.erase(it);
-          --pending_;
-          pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
-        }
+      if (computed.stale) {
+        m_.errors.inc();
+        m_.stale_served.inc();
+      } else if (computed.ok) {
+        m_.computed.inc();
+      } else {
+        m_.errors.inc();
       }
-      if (guard_) guard_->complete(flight->client, flight->cost);
       // A completed brownout answers as a degraded partial of the FULL
       // request: trials echoes what was asked, trials_completed what ran.
       // Set after the cancellation accounting above — a brownout is a
@@ -491,15 +410,31 @@ Response QueryExecutor::execute(const Query& q) {
         computed.result = doc.dump();
         computed.degraded = true;
       }
-      // Errors are not cached: a transient failure should not poison the
-      // content address forever.  (Stale fallbacks are already in cache.)
-      // Degraded partials are not cached either — they answer the deadline
-      // that produced them, but the content address promises the full sweep.
-      if (computed.ok && !computed.stale && !computed.degraded) {
+      // Only full answers are cached: errors would poison the content
+      // address, stale fallbacks are already there, and degraded partials
+      // (deadline cuts and brownouts alike) answer the request that
+      // produced them while the content address promises the full sweep.
+      const bool full = computed.ok && !computed.stale && !computed.degraded;
+      // The cache is written while the flight is still registered, so a
+      // request for this key either joins the flight or hits the cache;
+      // none can slip between the two and compute the key again.
+      if (full) {
         scope::SpanTimer persist(
             tid, options_.cache_journal ? "wal.append" : "cache.put");
         cache_.put(key, computed.result);
       }
+      {
+        std::lock_guard lock(mutex_);
+        // Drain-rate sample: full answers only — a sweep that quit early or
+        // was shortened by brownout would make the per-unit estimate
+        // optimistic.
+        if (full) {
+          drain_rate_.note(compute_micros / 1000.0, flight->cost,
+                           pool_.size());
+        }
+        unregister_locked(flight);
+      }
+      if (guard_) guard_->complete(flight->client, flight->cost);
       {
         std::lock_guard flight_lock(flight->mutex);
         // If the watchdog already published a "hung" error, the waiters are
@@ -523,15 +458,10 @@ Response QueryExecutor::execute(const Query& q) {
     } else if (!pool_.submit(std::move(task))) {
       {
         std::lock_guard lock(mutex_);
-        const auto it = flights_.find(key);
-        if (it != flights_.end() && it->second == flight) {
-          flights_.erase(it);
-          --pending_;
-          pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
-        }
+        unregister_locked(flight);
         if (flight->waiters > 0) --flight->waiters;
-        ++stats_.rejected;
       }
+      m_.shed.inc();
       // Wake any follower that joined between registration and rejection.
       {
         std::lock_guard flight_lock(flight->mutex);
@@ -563,10 +493,10 @@ Response QueryExecutor::execute(const Query& q) {
       bool last_waiter = false;
       {
         std::lock_guard lock(mutex_);
-        ++stats_.deadline_exceeded;
         if (flight->waiters > 0) --flight->waiters;
         last_waiter = flight->waiters == 0;
       }
+      m_.deadline_exceeded.inc();
       if (last_waiter) {
         // Nobody is listening for this answer any more: stop paying for it.
         flight->cancel.request_cancel();
@@ -591,8 +521,18 @@ Response QueryExecutor::execute(const Query& q) {
 }
 
 QueryExecutor::Stats QueryExecutor::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
+  return {.requests = m_.requests.value(),
+          .cache_hits = m_.cache_hits.value(),
+          .computed = m_.computed.value(),
+          .dedup_joins = m_.dedup_joins.value(),
+          .rejected = m_.shed.value(),
+          .deadline_exceeded = m_.deadline_exceeded.value(),
+          .errors = m_.errors.value(),
+          .hung = m_.hung.value(),
+          .stale_served = m_.stale_served.value(),
+          .cancelled = m_.cancelled.value(),
+          .browned_out =
+              metrics_.counter_value("netemu_guard_brownouts_total")};
 }
 
 bool QueryExecutor::cancel_trace(std::uint64_t trace_id) {
@@ -635,16 +575,10 @@ void QueryExecutor::shed_unstarted_flight(
   {
     std::lock_guard lock(mutex_);
     was_draining = draining_;
-    const auto it = flights_.find(key);
-    if (it != flights_.end() && it->second == flight) {
-      flights_.erase(it);
-      --pending_;
-      pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
-    }
-    ++stats_.rejected;
+    unregister_locked(flight);
   }
   if (guard_) guard_->release(flight->client, flight->cost);
-  shed_counter().inc();
+  m_.shed.inc();
   scope::FlightRecorder::global().record(
       scope::FlightRecorder::Kind::kShed, tid,
       "queued flight shed before start key=" + hex64(key));
@@ -661,6 +595,17 @@ void QueryExecutor::shed_unstarted_flight(
     }
   }
   flight->cv.notify_all();
+}
+
+void QueryExecutor::unregister_locked(const std::shared_ptr<Flight>& flight) {
+  // The watchdog may have abandoned this flight (erasing it and freeing its
+  // slot); only unregister what is still registered, and never
+  // double-decrement pending_.
+  const auto it = flights_.find(flight->key);
+  if (it == flights_.end() || it->second != flight) return;
+  flights_.erase(it);
+  --pending_;
+  pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
 }
 
 void QueryExecutor::begin_drain() {
@@ -681,13 +626,8 @@ bool QueryExecutor::draining() const {
   return draining_;
 }
 
-void QueryExecutor::record_compute_micros(double micros) {
-  compute_us_.observe(micros);       // this executor's view (health op)
-  compute_us_hist().observe(micros);  // process-wide view (stats op)
-}
-
 QueryExecutor::ComputeTimes QueryExecutor::compute_times() const {
-  const scope::Histogram::Snapshot snap = compute_us_.snapshot();
+  const scope::Histogram::Snapshot snap = m_.compute_us.snapshot();
   ComputeTimes t;
   t.samples = snap.count;
   t.p50_us = snap.quantile(0.50);

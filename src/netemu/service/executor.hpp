@@ -130,15 +130,24 @@ class QueryExecutor {
   /// would account it (request + cache-hit counters, spans, latency
   /// histogram); a miss touches no counters and returns nullopt — the
   /// caller then routes the query through execute() on a thread that may
-  /// block.  Safe to call concurrently from event-loop shards.
+  /// block.  Takes no executor lock; safe to call concurrently from
+  /// event-loop shards.
   std::optional<Response> try_cached(const Query& q);
 
+  /// This executor's metrics: every request, shed and compute it answers
+  /// and every guard decision is counted once, here and nowhere else
+  /// (docs/SCOPE.md).  The `stats` op renders it beside
+  /// scope::Registry::global().
+  scope::Registry& metrics() { return metrics_; }
+
+  /// Read-only snapshot of the counters in metrics(), under the `stats`
+  /// op's field names.
   struct Stats {
     std::uint64_t requests = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t computed = 0;        ///< plan_query invocations
+    std::uint64_t computed = 0;        ///< computes that produced an answer
     std::uint64_t dedup_joins = 0;     ///< requests that joined a flight
-    std::uint64_t rejected = 0;        ///< shed by admission control
+    std::uint64_t rejected = 0;        ///< shed (admission, drain, shutdown)
     std::uint64_t deadline_exceeded = 0;
     std::uint64_t errors = 0;          ///< compute failures
     std::uint64_t hung = 0;            ///< flights cancelled by the watchdog
@@ -146,7 +155,7 @@ class QueryExecutor {
     std::uint64_t cancelled = 0;       ///< computes stopped by cooperative
                                        ///< cancellation (degraded partials
                                        ///< included)
-    std::uint64_t browned_out = 0;     ///< estimates served with a reduced
+    std::uint64_t browned_out = 0;     ///< estimates admitted with a reduced
                                        ///< sweep by the guard's brownout
   };
   Stats stats() const;
@@ -168,8 +177,9 @@ class QueryExecutor {
   bool draining() const;
 
   /// Lifetime compute-time distribution (cache hits and shed requests
-  /// excluded), read from this executor's scope::Histogram — bounded
-  /// relative error (~4.5%), no sample window, no lock on the record path.
+  /// excluded), read from this executor's netemu_compute_us histogram —
+  /// bounded relative error (~4.5%), no sample window, no lock on the
+  /// record path.
   struct ComputeTimes {
     double p50_us = 0.0;
     double p95_us = 0.0;
@@ -219,29 +229,74 @@ class QueryExecutor {
   };
 
   void watchdog_loop();
+  /// Take a finished or refused flight out of the single-flight map and
+  /// free its admission slot.  Caller holds mutex_.
+  void unregister_locked(const std::shared_ptr<Flight>& flight);
   /// Answer a queued-but-never-started flight (drain shed, pool refusal):
   /// unregister it, un-charge the guard, and publish an overloaded/draining
   /// response to its waiters.
   void shed_unstarted_flight(const std::shared_ptr<Flight>& flight,
                              std::uint64_t key, std::uint64_t tid);
 
+  // This executor's metrics, registered in metrics_ at construction and
+  // recorded lock-free from any thread (docs/SCOPE.md has the catalog).
+  struct Meters {
+    scope::Registry& r;
+    scope::Counter& requests =
+        r.counter("netemu_requests_total", "Requests accepted by the executor");
+    scope::Counter& cache_hits = r.counter(
+        "netemu_cache_hits_total", "Requests answered from the result cache");
+    scope::Counter& computed = r.counter(
+        "netemu_computed_total",
+        "Computes that produced an answer (full, degraded or brownout)");
+    scope::Counter& dedup_joins = r.counter(
+        "netemu_dedup_joins_total",
+        "Requests that joined an identical in-flight query");
+    scope::Counter& shed = r.counter(
+        "netemu_shed_total",
+        "Requests shed by admission control, drain or shutdown");
+    scope::Counter& deadline_exceeded = r.counter(
+        "netemu_deadline_exceeded_total",
+        "Requests whose deadline passed before their answer");
+    scope::Counter& errors =
+        r.counter("netemu_compute_errors_total",
+                  "Computes that failed (stale fallbacks included)");
+    scope::Counter& hung =
+        r.counter("netemu_watchdog_cancellations_total",
+                  "Hung flights cancelled by the executor watchdog");
+    scope::Counter& stale_served = r.counter(
+        "netemu_stale_served_total",
+        "Failed recomputes answered with the previous cached value");
+    scope::Counter& cancelled = r.counter(
+        "netemu_compute_cancelled_total",
+        "Computes stopped mid-way by cooperative cancellation (degraded "
+        "partial results included)");
+    scope::Counter& reclaimed_cpu_ms = r.counter(
+        "netemu_compute_reclaimed_cpu_ms_total",
+        "Estimated CPU milliseconds returned to the pool by cancelling "
+        "compute instead of letting it finish");
+    scope::Histogram& compute_us = r.histogram(
+        "netemu_compute_us", "Planner compute wall time per computed query");
+    scope::Histogram& execute_us = r.histogram(
+        "netemu_execute_us",
+        "Executor residency per request (hits, sheds, and computes alike)");
+  };
+
   Options options_;
+  // Declared before everything that records into it (the guard too).
+  scope::Registry metrics_;
+  const Meters m_;
   ResultCache cache_;
   const Clock::time_point started_ = Clock::now();
 
-  void record_compute_micros(double micros);
-
-  mutable std::mutex mutex_;  // guards flights_, pending_, stats_,
-                              // draining_, drain_rate_
+  mutable std::mutex mutex_;  // guards flights_, pending_, draining_,
+                              // drain_rate_
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
   std::size_t pending_ = 0;
   std::uint64_t pending_cost_units_ = 0;  // sum of cost over leader flights
-  Stats stats_;
   bool draining_ = false;
   guard::DrainRate drain_rate_;  // feeds dynamic retry_after_ms hints
   std::unique_ptr<guard::Guard> guard_;  // null when Options::guard disabled
-  scope::Histogram compute_us_;  // lock-free; written by workers, read by
-                                 // compute_times() without mutex_
 
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  // guarded by mutex_

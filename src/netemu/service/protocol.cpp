@@ -31,7 +31,8 @@ std::string stats_line(QueryExecutor& exec, const Json& request) {
   if (request["format"].as_string() == "prometheus") {
     Json result = Json::object();
     result["format"] = "prometheus";
-    result["text"] = scope::registry_to_prometheus(scope::Registry::global());
+    result["text"] = scope::registry_to_prometheus(
+        {&exec.metrics(), &scope::Registry::global()});
     Json doc = Json::object();
     doc["ok"] = true;
     doc["result"] = std::move(result);
@@ -57,9 +58,11 @@ std::string stats_line(QueryExecutor& exec, const Json& request) {
   cache["misses"] = exec.cache().misses();
   result["cache"] = std::move(cache);
   result["uptime_s"] = exec.uptime_seconds();
-  // Full scope registry snapshot: sim volume counters and the compute /
-  // execute latency histograms netemu_top renders tails from.
-  result["scope"] = scope::registry_to_json(scope::Registry::global());
+  // Every scope metric this process serves with: the executor's own
+  // (request counts and the compute / execute latency histograms netemu_top
+  // renders tails from) beside the global simulator and I/O metrics.
+  result["scope"] = scope::registry_to_json(
+      {&exec.metrics(), &scope::Registry::global()});
   Json doc = Json::object();
   doc["ok"] = true;
   doc["result"] = std::move(result);

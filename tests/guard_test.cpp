@@ -120,7 +120,8 @@ TEST(GuardAdmit, EmptyExecutorAdmitsAnything) {
   opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;  // stands in for the executor's registry
+  guard::Guard guard(opts, metrics);
 
   // The biggest legal estimate must stay servable when nothing competes,
   // even though it alone exceeds the whole budget.
@@ -138,7 +139,8 @@ TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
   opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
 
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 90).admit);
   const guard::Guard::Decision d =
@@ -147,7 +149,7 @@ TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
   EXPECT_EQ(d.reason, "cost budget full");
   // Backlog sheds leave the hint to the executor's drain-rate estimate.
   EXPECT_EQ(d.retry_after_ms, 0u);
-  EXPECT_EQ(guard.counters().shed_backlog, 1u);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_budget_full_total"), 1u);
   // The shed charged nothing: completing the admitted flight reopens.
   guard.complete("a", 90);
   EXPECT_TRUE(guard.admit("b", closed_form_query(), 20).admit);
@@ -159,7 +161,8 @@ TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
   opts.cost_budget = 100;
   opts.client_share = 0.5;  // one client may hold at most 50 units
   opts.adaptive = false;
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
 
   ASSERT_TRUE(guard.admit("greedy", closed_form_query(), 40).admit);
   // Second query would put the same client at 80 > 50: shed...
@@ -169,7 +172,7 @@ TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
   EXPECT_EQ(d.reason, "client over fair share");
   // ...while another client's identical query fits the global budget.
   EXPECT_TRUE(guard.admit("polite", closed_form_query(), 40).admit);
-  EXPECT_EQ(guard.counters().shed_share, 1u);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_share_exceeded_total"), 1u);
   guard.complete("greedy", 40);
   guard.complete("polite", 40);
 }
@@ -182,7 +185,8 @@ TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
   opts.rate_units_per_s = 10.0;  // burst defaults to 2 s of refill = 20
   opts.adaptive = false;
   opts.clock_ms = [&now] { return now; };
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
 
   // The full burst admits; the 21st unit finds an empty bucket.
   for (int i = 0; i < 20; ++i) {
@@ -193,7 +197,7 @@ TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
   EXPECT_EQ(d.reason, "client rate limited");
   // Token-refill hint: one unit at 10/s is 100 ms away.
   EXPECT_EQ(d.retry_after_ms, 100u);
-  EXPECT_EQ(guard.counters().shed_rate, 1u);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_rate_limited_total"), 1u);
 
   now += 100;  // one token refills
   EXPECT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
@@ -206,7 +210,8 @@ TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
   opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 60).admit);
   EXPECT_DOUBLE_EQ(guard.pressure(), 0.6);
   guard.release("a", 60);
@@ -220,7 +225,8 @@ TEST(GuardClients, IdleClientsEvictedPastTheCap) {
   opts.cost_budget = 100;
   opts.max_clients = 2;
   opts.adaptive = false;
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
 
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
   guard.complete("a", 1);
@@ -239,7 +245,8 @@ TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
   opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;  // pin the limit so pressure is exact
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
 
   // 80/100 pending puts pressure past the 0.75 default (a closed-form
   // filler, so the brownout counter below counts only the victim)...
@@ -250,7 +257,7 @@ TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
   ASSERT_TRUE(d.admit);
   EXPECT_TRUE(d.brownout);
   EXPECT_EQ(d.trials, 2u);
-  EXPECT_EQ(guard.counters().brownouts, 1u);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_brownouts_total"), 1u);
 
   // Closed-form kinds never brown out — there is no sweep to shrink.
   const guard::Guard::Decision cf = guard.admit("c", closed_form_query(), 1);
@@ -264,12 +271,13 @@ TEST(GuardBrownout, KillSwitchAndLowPressureServeTheFullSweep) {
   opts.cost_budget = 100;
   opts.adaptive = false;
   opts.brownout = false;  // kill switch
-  guard::Guard off(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard off(opts, metrics);
   ASSERT_TRUE(off.admit("a", closed_form_query(), 80).admit);
   EXPECT_FALSE(off.admit("b", estimate_query(1024, 8), 8).brownout);
 
   opts.brownout = true;
-  guard::Guard calm(opts, nullptr);
+  guard::Guard calm(opts, metrics);
   // Pressure 0.08 after charging: nowhere near the threshold.
   EXPECT_FALSE(calm.admit("a", estimate_query(1024, 8), 8).brownout);
 }
@@ -278,7 +286,8 @@ TEST(GuardBrownout, KillSwitchAndLowPressureServeTheFullSweep) {
 
 TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   std::uint64_t now = 0;
-  scope::Histogram hist;  // stands in for the executor's execute histogram
+  scope::Registry metrics;  // stands in for the executor's registry
+  scope::Histogram& hist = metrics.histogram("netemu_execute_us");
   guard::Options opts;
   opts.enabled = true;
   opts.cost_budget = 100;
@@ -286,7 +295,7 @@ TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   opts.adjust_interval_ms = 100;
   opts.adjust_min_samples = 8;
   opts.clock_ms = [&now] { return now; };
-  guard::Guard guard(opts, &hist);
+  guard::Guard guard(opts, metrics);
   EXPECT_EQ(guard.effective_limit(), 100u);
 
   const auto tick = [&] {
@@ -300,18 +309,19 @@ TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   now = 300;
   tick();  // p95 ~50 ms > 10 ms target: multiplicative decrease
   EXPECT_EQ(guard.effective_limit(), 70u);  // 100 x 0.7
-  EXPECT_GE(guard.counters().limit_decreases, 1u);
+  EXPECT_GE(metrics.counter_value("netemu_guard_limit_decreases_total"), 1u);
 
   for (int i = 0; i < 10; ++i) hist.observe(1000.0);  // 1 ms: healthy
   now = 450;
   tick();  // p95 below target: additive increase of 5% of the budget
   EXPECT_EQ(guard.effective_limit(), 75u);
-  EXPECT_GE(guard.counters().limit_increases, 1u);
+  EXPECT_GE(metrics.counter_value("netemu_guard_limit_increases_total"), 1u);
 }
 
 TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   std::uint64_t now = 0;
-  scope::Histogram hist;
+  scope::Registry metrics;
+  scope::Histogram& hist = metrics.histogram("netemu_execute_us");
   guard::Options opts;
   opts.enabled = true;
   opts.cost_budget = 100;
@@ -320,7 +330,7 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   opts.clock_ms = [&now] { return now; };
 
   {
-    guard::Guard guard(opts, &hist);
+    guard::Guard guard(opts, metrics);
     now = 150;
     guard.admit("a", closed_form_query(), 1);
     guard.complete("a", 1);  // baseline
@@ -332,13 +342,13 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   }
   {
     opts.adaptive = false;  // kill switch pins the limit outright
-    guard::Guard guard(opts, &hist);
+    guard::Guard guard(opts, metrics);
     for (int i = 0; i < 20; ++i) hist.observe(90000.0);
     now += 1000;
     guard.admit("a", closed_form_query(), 1);
     guard.complete("a", 1);
     EXPECT_EQ(guard.effective_limit(), 100u);
-    EXPECT_EQ(guard.counters().limit_decreases, 0u);
+    EXPECT_EQ(metrics.counter_value("netemu_guard_limit_decreases_total"), 0u);
   }
 }
 
@@ -349,7 +359,8 @@ TEST(GuardJson, HealthBlockCarriesTheDials) {
   opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
-  guard::Guard guard(opts, nullptr);
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics);
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 25).admit);
 
   const Json doc = guard.to_json();

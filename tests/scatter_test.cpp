@@ -268,11 +268,6 @@ TEST(FleetScatter, BitIdenticalAcrossWaysAndCacheWarm) {
   for (auto& b : backends) ports.push_back(b.start());
   FleetRouter router(fast_router_options(ports));
 
-  const std::uint64_t subs_before =
-      scope::Registry::global()
-          .counter("netemu_scatter_subqueries_total", "")
-          .value();
-
   bool shutdown = false;
   std::uint64_t scattered_total = 0;
   for (unsigned ways = 1; ways <= 4; ++ways) {
@@ -280,6 +275,9 @@ TEST(FleetScatter, BitIdenticalAcrossWaysAndCacheWarm) {
     door_options.scatter.min_trials = 4;
     door_options.scatter.max_ways = ways;
     FleetFrontDoor door(router, door_options);
+    // Every door here scatters over the one router, whose registry holds
+    // the netemu_scatter_* counters: read this door's share as a delta.
+    const Scatterer::Stats before = door.scatter_stats();
 
     const std::string line = door.handle_line(q.dump(), &shutdown);
     EXPECT_EQ(result_dump(line), golden) << "ways=" << ways;
@@ -288,14 +286,14 @@ TEST(FleetScatter, BitIdenticalAcrossWaysAndCacheWarm) {
       // max_ways 1 cannot scatter: the query routes whole to one backend.
       EXPECT_TRUE(doc["scattered"].is_null());
       EXPECT_TRUE(doc["served_by"].is_string());
-      EXPECT_EQ(door.scatter_stats().scatters, 0u);
+      EXPECT_EQ(door.scatter_stats().scatters, before.scatters);
     } else {
       EXPECT_EQ(doc["scattered"].as_int(-1), static_cast<int>(ways));
       EXPECT_FALSE(doc["degraded"].as_bool(false));
       const Scatterer::Stats stats = door.scatter_stats();
-      EXPECT_EQ(stats.scatters, 1u);
-      EXPECT_EQ(stats.subqueries, ways);
-      EXPECT_EQ(stats.merged_full, 1u);
+      EXPECT_EQ(stats.scatters - before.scatters, 1u);
+      EXPECT_EQ(stats.subqueries - before.subqueries, ways);
+      EXPECT_EQ(stats.merged_full - before.merged_full, 1u);
       EXPECT_EQ(stats.merged_degraded, 0u);
       scattered_total += ways;
 
@@ -309,11 +307,10 @@ TEST(FleetScatter, BitIdenticalAcrossWaysAndCacheWarm) {
     }
   }
 
-  const std::uint64_t subs_after =
-      scope::Registry::global()
-          .counter("netemu_scatter_subqueries_total", "")
-          .value();
-  EXPECT_EQ(subs_after - subs_before, scattered_total);
+  // The router's registry started at zero: it counted exactly these
+  // sub-queries, whatever else this process scattered.
+  EXPECT_EQ(router.metrics().counter_value("netemu_scatter_subqueries_total"),
+            scattered_total);
 }
 
 TEST(FleetScatter, SingleNodeAndScatteredRunsShareShardCacheEntries) {
@@ -500,10 +497,38 @@ TEST(FleetScatter, BackendKilledPreMergeStillMergesFull) {
 TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
   // One backend stalls every compute for far longer than the straggler
   // deadline; its sub-query is hedged to a different backend and the merge
-  // still comes back full and bit-identical.
+  // still comes back full and bit-identical, before the stalled original
+  // could have answered.
+  //
+  // The retry fires at 2 x the slowest healthy shard and then computes one
+  // more shard, so it lands at 2-3 x the healthy shard time: a Debug
+  // --coverage build on a loaded host takes 0.8 s a shard and pushes it
+  // past any fixed bound.  Time healthy 3-trial shards first, on an
+  // executor no backend shares, and scale the stall (and the bound) from
+  // the slowest of them, leaving room for the shards to run slower side by
+  // side than alone.
+  double healthy_ms = 0.0;
+  {
+    QueryExecutor probe;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ok_doc(handle_request_line(ranged(estimate_query(9, seed), 0, 3).dump(),
+                                 probe));
+      healthy_ms = std::max(
+          healthy_ms, std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    }
+  }
+  const auto stall_ms = std::max<std::uint64_t>(
+      2500, static_cast<std::uint64_t>(15.0 * healthy_ms));
+  // 80% of the stall: the original cannot answer before stall_ms, so an
+  // answer inside the bound came from the retry, with margin to spare.
+  const std::uint64_t bound_ms = stall_ms * 4 / 5;
+
   FaultPlan stall;
   stall.stall_p = 1.0;
-  stall.stall_ms = 2500;
+  stall.stall_ms = static_cast<std::uint32_t>(stall_ms);
   FaultInjector injector(stall);
   QueryExecutor::Options stalled_options;
   stalled_options.faults = &injector;
@@ -528,11 +553,6 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
   door_options.scatter.straggler_min_ms = 40;
   FleetFrontDoor door(fleet, door_options);
 
-  const std::uint64_t retries_before =
-      scope::Registry::global()
-          .counter("netemu_scatter_straggler_retries_total", "")
-          .value();
-
   bool shutdown = false;
   const auto start = std::chrono::steady_clock::now();
   const std::string line = door.handle_line(fq.dump(), &shutdown);
@@ -546,12 +566,13 @@ TEST(FleetScatter, StragglerRetryCoversAStalledBackend) {
   EXPECT_EQ(stats.merged_full, 1u);
   // Exactly one sub-query hit the staller (distinct owners) and was hedged.
   EXPECT_GE(stats.straggler_retries, 1u);
-  EXPECT_GE(scope::Registry::global()
-                .counter("netemu_scatter_straggler_retries_total", "")
-                .value(),
-            retries_before + 1);
-  // The retry answered well before the 2.5 s stall released the original.
-  EXPECT_LT(ms, 2000) << "straggler retry did not rescue the scatter";
+  EXPECT_GE(
+      fleet.metrics().counter_value("netemu_scatter_straggler_retries_total"),
+      1u);
+  // The retry answered well before the stall released the original.
+  EXPECT_LT(static_cast<std::uint64_t>(ms), bound_ms)
+      << "straggler retry did not rescue the scatter (healthy shard "
+      << healthy_ms << " ms, stall " << stall_ms << " ms)";
 }
 
 TEST(FleetScatter, StalledShardDegradesToARangedPartialThatIsNeverCached) {

@@ -352,7 +352,7 @@ TEST(ScopeExposition, JsonShapeHasCountersGaugesHistograms) {
   reg.gauge("t_gauge").set(1.5);
   scope::Histogram& h = reg.histogram("t_us");
   for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  const Json doc = scope::registry_to_json(reg);
+  const Json doc = scope::registry_to_json({&reg});
   EXPECT_EQ(doc["counters"]["t_total"].as_uint(), 3u);
   EXPECT_DOUBLE_EQ(doc["gauges"]["t_gauge"].as_number(), 1.5);
   const Json& hist = doc["histograms"]["t_us"];
@@ -367,7 +367,7 @@ TEST(ScopeExposition, PrometheusTextIsWellFormed) {
   scope::Histogram& h = reg.histogram("pm_us", "a histogram");
   h.observe(3.0);
   h.observe(300.0);
-  const std::string text = scope::registry_to_prometheus(reg);
+  const std::string text = scope::registry_to_prometheus({&reg});
   EXPECT_NE(text.find("# TYPE pm_total counter"), std::string::npos);
   EXPECT_NE(text.find("pm_total 5"), std::string::npos);
   EXPECT_NE(text.find("# TYPE pm_us histogram"), std::string::npos);
@@ -616,4 +616,152 @@ TEST(ScopeProtocol, TraceOpReturnsSpansAndStatsExposesScope) {
   ASSERT_TRUE(prom["ok"].as_bool());
   EXPECT_NE(prom["result"]["text"].as_string().find("netemu_requests_total"),
             std::string::npos);
+}
+
+// ------------------------------------------------- per-instance isolation
+
+namespace {
+
+Json stats_op(QueryExecutor& exec, bool prometheus = false) {
+  Json s = Json::object();
+  s["op"] = "stats";
+  if (prometheus) s["format"] = "prometheus";
+  const Json doc = Json::parse(handle_request_line(s.dump(), exec));
+  EXPECT_TRUE(doc["ok"].as_bool());
+  return doc["result"];
+}
+
+/// The sample line `name value` of a counter in Prometheus text.
+bool prometheus_has(const std::string& text, const std::string& name,
+                    std::uint64_t value) {
+  return text.find("\n" + name + " " + std::to_string(value) + "\n") !=
+         std::string::npos;
+}
+
+}  // namespace
+
+TEST(ScopeIsolation, TwoExecutorsCountApart) {
+  QueryExecutor::Options options = traced_executor_options(false, "", nullptr);
+  options.guard.enabled = true;
+  options.guard.adaptive = false;
+  QueryExecutor a(options);
+  QueryExecutor b(options);
+
+  ASSERT_TRUE(a.execute(traced_query(0)).ok);
+  ASSERT_TRUE(a.execute(traced_query(0)).cache_hit);
+  ASSERT_TRUE(a.execute(traced_query(0)).cache_hit);
+  ASSERT_TRUE(b.execute(traced_query(0)).ok);
+
+  EXPECT_EQ(a.stats().requests, 3u);
+  EXPECT_EQ(a.stats().cache_hits, 2u);
+  EXPECT_EQ(a.stats().computed, 1u);
+  EXPECT_EQ(b.stats().requests, 1u);
+  EXPECT_EQ(b.stats().cache_hits, 0u);
+  EXPECT_EQ(b.stats().computed, 1u);
+  EXPECT_EQ(a.compute_times().samples, 1u);
+  EXPECT_EQ(b.compute_times().samples, 1u);
+  // The guard counts into its own executor's registry.
+  EXPECT_EQ(a.metrics().counter_value("netemu_guard_admitted_total"), 1u);
+  EXPECT_EQ(b.metrics().counter_value("netemu_guard_admitted_total"), 1u);
+
+  // Each stats op reports its own executor, not the process.
+  EXPECT_EQ(stats_op(a)["scope"]["counters"]["netemu_requests_total"]
+                .as_uint(),
+            3u);
+  EXPECT_EQ(stats_op(b)["scope"]["counters"]["netemu_requests_total"]
+                .as_uint(),
+            1u);
+  EXPECT_EQ(stats_op(b)["scope"]["histograms"]["netemu_execute_us"]["count"]
+                .as_uint(),
+            1u);
+}
+
+TEST(ScopeIsolation, TwoRoutersCountApart) {
+  TracedBackend backend;
+  FleetRouter::Options options;
+  options.backends.push_back({backend.start(), ""});
+  options.probe_interval_ms = 0;
+  FleetRouter a(options);
+  FleetRouter b(options);
+  FleetFrontDoor door_a(a);
+
+  Json q = Json::object();
+  q["op"] = "bandwidth";
+  q["family"] = "Mesh";
+  q["k"] = 2;
+  q["n"] = 256;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(a.request(q).ok);
+  ASSERT_TRUE(b.request(q).ok);
+
+  EXPECT_EQ(a.stats().requests, 3u);
+  EXPECT_EQ(a.stats().answered, 3u);
+  EXPECT_EQ(b.stats().requests, 1u);
+  EXPECT_EQ(b.stats().answered, 1u);
+  EXPECT_EQ(a.metrics().counter_value("netemu_fleet_requests_total"), 3u);
+  EXPECT_EQ(b.metrics().counter_value("netemu_fleet_requests_total"), 1u);
+  EXPECT_EQ(a.metrics().histogram("netemu_fleet_request_us").count(), 3u);
+  EXPECT_EQ(b.metrics().histogram("netemu_fleet_request_us").count(), 1u);
+  // A scatterer registers into its own router's registry only.
+  EXPECT_EQ(door_a.scatter_stats().scatters, 0u);
+  bool b_has_scatter = false;
+  for (const auto& sample : b.metrics().snapshot()) {
+    b_has_scatter |= sample.name.rfind("netemu_scatter_", 0) == 0;
+  }
+  EXPECT_FALSE(b_has_scatter);
+}
+
+TEST(ScopeIsolation, StatsOpPrometheusAndTypedReadAgree) {
+  QueryExecutor::Options options = traced_executor_options(false, "", nullptr);
+  options.compute = [](const Query& q, const CancelToken&) -> Json {
+    if (q.n > 1000) throw std::runtime_error("boom");
+    Json j = Json::object();
+    j["v"] = q.n;
+    return j;
+  };
+  QueryExecutor exec(options);
+  Query q = traced_query(0);
+  ASSERT_TRUE(exec.execute(q).ok);
+  ASSERT_TRUE(exec.execute(q).cache_hit);
+  q.n = 128;
+  ASSERT_TRUE(exec.execute(q).ok);
+  q.n = 4096;
+  ASSERT_FALSE(exec.execute(q).ok);
+
+  const QueryExecutor::Stats typed = exec.stats();
+  const Json stats = stats_op(exec);
+  const std::string text = stats_op(exec, true)["text"].as_string();
+  const Json& counters = stats["scope"]["counters"];
+
+  // Every counter the JSON exposes has the same sample in the text.
+  for (const auto& [name, value] : counters.fields()) {
+    EXPECT_TRUE(prometheus_has(text, name, value.as_uint())) << name;
+  }
+  // Every typed field equals its stats-op field and its counter.
+  const struct {
+    const char* field;
+    const char* metric;
+    std::uint64_t typed;
+  } rows[] = {
+      {"requests", "netemu_requests_total", typed.requests},
+      {"cache_hits", "netemu_cache_hits_total", typed.cache_hits},
+      {"computed", "netemu_computed_total", typed.computed},
+      {"dedup_joins", "netemu_dedup_joins_total", typed.dedup_joins},
+      {"rejected", "netemu_shed_total", typed.rejected},
+      {"deadline_exceeded", "netemu_deadline_exceeded_total",
+       typed.deadline_exceeded},
+      {"errors", "netemu_compute_errors_total", typed.errors},
+      {"hung", "netemu_watchdog_cancellations_total", typed.hung},
+      {"stale_served", "netemu_stale_served_total", typed.stale_served},
+      {"cancelled", "netemu_compute_cancelled_total", typed.cancelled},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(stats[row.field].as_uint(), row.typed) << row.field;
+    EXPECT_EQ(counters[row.metric].as_uint(), row.typed) << row.metric;
+    EXPECT_TRUE(prometheus_has(text, row.metric, row.typed)) << row.metric;
+  }
+  EXPECT_EQ(stats["browned_out"].as_uint(), typed.browned_out);
+  EXPECT_EQ(typed.requests, 4u);
+  EXPECT_EQ(typed.cache_hits, 1u);
+  EXPECT_EQ(typed.computed, 2u);
+  EXPECT_EQ(typed.errors, 1u);
 }

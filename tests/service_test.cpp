@@ -427,6 +427,57 @@ TEST(Executor, SingleFlightDedup) {
             static_cast<std::uint64_t>(kThreads - 1));
 }
 
+TEST(Executor, RequestAtFlightEndHitsTheCacheNotANewCompute) {
+  // A request for a key whose leader is finishing must join the flight or
+  // hit the cache, never miss both and compute the key again.  The guard's
+  // clock hook runs inside Guard::complete(), which the leader calls once
+  // its flight has left the single-flight map: a request issued from there
+  // must already find the answer in the cache.
+  auto computes = std::make_shared<std::atomic<int>>(0);
+  std::atomic<bool> leader_computed{false};
+  std::atomic<bool> fired{false};
+  QueryExecutor* exec = nullptr;
+  const Query q = estimate_query(64);
+  Response follower_response;
+  std::thread follower;
+
+  QueryExecutor::Options options;
+  options.threads = 1;
+  options.guard.enabled = true;
+  options.guard.adaptive = false;
+  options.guard.clock_ms = [&]() -> std::uint64_t {
+    if (leader_computed.load() && !fired.exchange(true)) {
+      auto answered = std::make_shared<std::promise<void>>();
+      std::future<void> done = answered->get_future();
+      follower = std::thread([&, answered] {
+        follower_response = exec->execute(q);
+        answered->set_value();
+      });
+      // A miss would block on the guard lock this hook runs under: give up
+      // waiting after 2 s and let the leader finish.
+      done.wait_for(std::chrono::seconds(2));
+    }
+    return 0;
+  };
+  options.compute = [&, computes](const Query&, const CancelToken&) {
+    computes->fetch_add(1);
+    leader_computed.store(true);
+    Json doc = Json::object();
+    doc["value"] = 7;
+    return doc;
+  };
+  QueryExecutor executor(std::move(options));
+  exec = &executor;
+
+  const Response leader = executor.execute(q);
+  ASSERT_TRUE(fired.load());
+  follower.join();
+  EXPECT_TRUE(leader.ok) << leader.error;
+  EXPECT_TRUE(follower_response.ok) << follower_response.error;
+  EXPECT_TRUE(follower_response.cache_hit);
+  EXPECT_EQ(computes->load(), 1);
+}
+
 TEST(Executor, DistinctQueriesComputeIndependently) {
   auto invocations = std::make_shared<std::atomic<int>>(0);
   QueryExecutor::Options options;
