@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,10 +54,13 @@ void BM_RouterPath(benchmark::State& state) {
   const Machine m = make_debruijn(static_cast<unsigned>(state.range(0)));
   const auto router = make_default_router(m);
   const std::size_t n = m.graph.num_vertices();
+  std::vector<Channel> channels;
   for (auto _ : state) {
     const Vertex u = static_cast<Vertex>(rng.below(n));
     const Vertex v = static_cast<Vertex>(rng.below(n));
-    benchmark::DoNotOptimize(router->route(u, v, rng));
+    channels.clear();
+    router->route_channels(u, v, rng, channels);
+    benchmark::DoNotOptimize(channels.data());
   }
 }
 BENCHMARK(BM_RouterPath)->Arg(8)->Arg(12);
@@ -67,10 +71,13 @@ void BM_BfsRouterCachedPath(benchmark::State& state) {
   BfsRouter router(m);
   const std::size_t n = m.graph.num_vertices();
   // Warm one destination so steady-state path walks are measured.
-  router.route(0, static_cast<Vertex>(n - 1), rng);
+  std::vector<Channel> channels;
+  router.route_channels(0, static_cast<Vertex>(n - 1), rng, channels);
   for (auto _ : state) {
     const Vertex u = static_cast<Vertex>(rng.below(n));
-    benchmark::DoNotOptimize(router.route(u, static_cast<Vertex>(n - 1), rng));
+    channels.clear();
+    router.route_channels(u, static_cast<Vertex>(n - 1), rng, channels);
+    benchmark::DoNotOptimize(channels.data());
   }
 }
 BENCHMARK(BM_BfsRouterCachedPath)->Arg(6)->Arg(8);
@@ -146,16 +153,18 @@ double seconds_since(SteadyClock::time_point start) {
 
 /// Time route, flatten and run_batch on one topology × arbitration case:
 /// `messages` random (src, dst) pairs routed by a spreading BFS router.
+/// Route and flatten are the calls measure_throughput's route_into makes:
+/// route_channels, then append_channels.
 Json run_case(const char* topo_name, const Machine& machine, Arbitration arb,
               std::size_t messages, int reps) {
   const std::size_t n = machine.graph.num_vertices();
   const PacketSimulator sim(machine, arb);
   BfsRouter router(machine, /*spread=*/true);
 
-  // Route: the same seeded pairs every rep, appended to one flat vertex
-  // list.  An untimed first pass fills the router's distance-field cache,
+  // Route: the same seeded pairs every rep, appended to one flat channel
+  // list.  An untimed first pass fills the router's distance-field table,
   // so the reps time steady-state routing, as a calibrated trial sees it.
-  std::vector<Vertex> flat, path;
+  std::vector<Channel> flat;
   std::vector<std::size_t> offsets;
   const auto route_all = [&] {
     flat.clear();
@@ -164,22 +173,20 @@ Json run_case(const char* topo_name, const Machine& machine, Arbitration arb,
     for (std::size_t i = 0; i < messages; ++i) {
       const Vertex src = static_cast<Vertex>(rng.below(n));
       const Vertex dst = static_cast<Vertex>(rng.below(n));
-      router.route_append(src, dst, rng, path);
-      flat.insert(flat.end(), path.begin(), path.end());
+      router.route_channels(src, dst, rng, flat);
       offsets.push_back(flat.size());
     }
   };
   route_all();
-  // Flatten: the paths into channel sequences, as measure_throughput's
-  // route_into does.
+  // Flatten: every message's channels into the batch.
   PacketSimulator::PreparedBatch batch;
   const auto flatten_all = [&] {
     batch = sim.prepare({});
     batch.reserve(messages, flat.size());
+    const std::span<const Channel> all(flat);
     for (std::size_t i = 0; i < messages; ++i) {
-      path.assign(flat.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-                  flat.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
-      sim.append(batch, path);
+      sim.append_channels(batch,
+                          all.subspan(offsets[i], offsets[i + 1] - offsets[i]));
     }
   };
 

@@ -19,10 +19,8 @@ std::uint64_t Multigraph::min_degree() const noexcept {
 }
 
 std::uint32_t Multigraph::multiplicity(Vertex u, Vertex v) const noexcept {
-  for (const Arc& a : neighbors(u)) {
-    if (a.to == v) return a.mult;
-  }
-  return 0;
+  const Channel c = arc_index(u, v);
+  return c == kNoChannel ? 0 : arcs_[c].mult;
 }
 
 Multigraph Multigraph::scaled(std::uint32_t x) const {

@@ -10,7 +10,11 @@
 // Multigraph is immutable after construction; build with MultigraphBuilder.
 // Storage is CSR (offset array + arc array) so neighbor scans are contiguous,
 // which matters for the BFS-heavy kernels (all-pairs witnesses, routing).
+// Each vertex's arcs are sorted by head.  An arc's index in the CSR is its
+// *channel* id: one direction of an edge, the numbering routers emit and
+// the packet simulator runs on.
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -20,6 +24,11 @@ namespace netemu {
 
 using Vertex = std::uint32_t;
 inline constexpr Vertex kNoVertex = static_cast<Vertex>(-1);
+
+/// Channel id: an arc's index in Multigraph's CSR.  The channels leaving v
+/// are arc_begin(v) .. arc_begin(v + 1) - 1, in neighbors(v) order.
+using Channel = std::uint32_t;
+inline constexpr Channel kNoChannel = static_cast<Channel>(-1);
 
 /// One undirected edge in canonical (u < v) orientation.
 struct Edge {
@@ -55,8 +64,30 @@ class Multigraph {
     return offsets_[v + 1] - offsets_[v];
   }
 
+  /// v's arcs, sorted by head.
   std::span<const Arc> neighbors(Vertex v) const noexcept {
     return {arcs_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+  }
+
+  /// Number of channels: two per distinct vertex pair.
+  std::size_t num_arcs() const noexcept { return arcs_.size(); }
+
+  /// Channel id of v's first arc.
+  Channel arc_begin(Vertex v) const noexcept {
+    return static_cast<Channel>(offsets_[v]);
+  }
+
+  const Arc& arc(Channel c) const noexcept { return arcs_[c]; }
+
+  /// Channel u -> v, kNoChannel if the pair has no edge.  O(lg deg(u)):
+  /// a binary search of u's arcs, inline because routers call it per hop.
+  Channel arc_index(Vertex u, Vertex v) const noexcept {
+    const Arc* const first = arcs_.data() + offsets_[u];
+    const Arc* const last = arcs_.data() + offsets_[u + 1];
+    const Arc* const it = std::lower_bound(
+        first, last, v, [](const Arc& a, Vertex head) { return a.to < head; });
+    if (it == last || it->to != v) return kNoChannel;
+    return static_cast<Channel>(it - arcs_.data());
   }
 
   std::span<const Edge> edges() const noexcept { return edges_; }
@@ -65,7 +96,7 @@ class Multigraph {
   std::uint64_t max_degree() const noexcept;
   std::uint64_t min_degree() const noexcept;
 
-  /// Multiplicity of the (u, v) pair, 0 if absent.  O(deg(u)).
+  /// Multiplicity of the (u, v) pair, 0 if absent.  O(lg deg(u)).
   std::uint32_t multiplicity(Vertex u, Vertex v) const noexcept;
 
   /// The paper's xG: every multiplicity scaled by x.
@@ -101,7 +132,8 @@ class MultigraphBuilder {
     raw_.push_back(Edge{u, v, mult});
   }
 
-  /// Deduplicates, sorts, and freezes into CSR form.
+  /// Deduplicates, sorts, and freezes into CSR form.  Edges are sorted by
+  /// (u, v) with u < v, so every vertex's arcs come out sorted by head.
   Multigraph build() &&;
 
  private:

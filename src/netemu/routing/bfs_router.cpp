@@ -1,135 +1,114 @@
 #include "netemu/routing/bfs_router.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
+#include <memory>
 #include <stdexcept>
-#include <utility>
 
 namespace netemu {
 
 namespace {
+
 constexpr std::uint16_t kFar = std::numeric_limits<std::uint16_t>::max();
+
+// Per-thread scratch for a field that has no slot to live in: a thread
+// that routes past the budget keeps one field's worth (2 bytes a vertex).
+std::vector<std::uint16_t>& thread_scratch() {
+  thread_local std::vector<std::uint16_t> scratch;
+  return scratch;
 }
+
+std::size_t slot_count(std::size_t n, std::size_t budget_bytes) {
+  if (n == 0) return 1;
+  return std::clamp<std::size_t>(budget_bytes / (n * sizeof(std::uint16_t)),
+                                 1, n);
+}
+
+}  // namespace
 
 BfsRouter::BfsRouter(const Machine& machine, bool spread,
                      std::size_t cache_budget_bytes)
-    : machine_(machine),
+    : Router(machine),
       spread_(spread),
-      cache_budget_entries_(cache_budget_bytes / sizeof(std::uint16_t)) {}
+      slots_(slot_count(machine.graph.num_vertices(), cache_budget_bytes)) {}
 
-std::uint64_t BfsRouter::cache_hits() const {
-  std::lock_guard lock(mutex_);
-  return hits_;
+BfsRouter::~BfsRouter() {
+  for (const auto& slot : slots_) delete slot.load(std::memory_order_relaxed);
 }
 
-std::uint64_t BfsRouter::cache_misses() const {
-  std::lock_guard lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t BfsRouter::cache_evictions() const {
-  std::lock_guard lock(mutex_);
-  return evictions_;
-}
-
-std::shared_ptr<const BfsRouter::Field> BfsRouter::distance_field(Vertex dst) {
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = fields_.find(dst);
-    if (it != fields_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    ++misses_;
-  }
-
-  // Compute outside the lock: a BFS over a large machine takes milliseconds,
-  // and concurrent misses on the same destination just redo identical work.
-  const Multigraph& g = machine_.graph;
-  const std::size_t n = g.num_vertices();
-  auto field = std::make_shared<Field>(n, kFar);
-  Field& dist = *field;
+void BfsRouter::fill_distances(Vertex dst,
+                               std::vector<std::uint16_t>& dist) const {
+  const std::size_t n = graph_.num_vertices();
+  dist.assign(n, kFar);
   std::vector<Vertex> queue;
   queue.reserve(n);
   dist[dst] = 0;
   queue.push_back(dst);
-  std::size_t head = 0;
-  while (head < queue.size()) {
+  for (std::size_t head = 0; head < queue.size(); ++head) {
     // Field construction over a 2^24-vertex machine takes long enough to
     // matter for drain; poll the token at the standard amortized cadence.
     if ((head & (kCancelCheckTicks - 1)) == 0) cancel_.check();
-    const Vertex u = queue[head++];
+    const Vertex u = queue[head];
     const std::uint16_t du = dist[u];
-    for (const Arc& a : g.neighbors(u)) {
+    for (const Arc& a : graph_.neighbors(u)) {
       if (dist[a.to] == kFar) {
         dist[a.to] = static_cast<std::uint16_t>(du + 1);
         queue.push_back(a.to);
       }
     }
   }
-
-  std::lock_guard lock(mutex_);
-  const auto [it, inserted] = fields_.emplace(dst, field);
-  if (!inserted) return it->second;  // another thread won the race
-  eviction_order_.push_back(dst);
-  cached_entries_ += n;
-  // Evict oldest-first until back under budget; in-flight routes keep their
-  // field alive through the shared_ptr they already hold.  Always keep the
-  // entry just inserted.
-  while (cached_entries_ > cache_budget_entries_ &&
-         eviction_order_.size() > 1) {
-    const Vertex victim = eviction_order_.front();
-    eviction_order_.pop_front();
-    const auto vit = fields_.find(victim);
-    if (vit != fields_.end()) {
-      cached_entries_ -= vit->second->size();
-      fields_.erase(vit);
-      ++evictions_;
-    }
-  }
-  return field;
 }
 
-std::vector<Vertex> BfsRouter::route(Vertex src, Vertex dst, Prng& rng) {
-  std::vector<Vertex> path;
-  route_append(src, dst, rng, path);
-  return path;
+const std::uint16_t* BfsRouter::distance_field(Vertex dst) {
+  std::atomic<const Field*>& slot = slots_[dst % slots_.size()];
+  const Field* held = slot.load(std::memory_order_acquire);
+  if (held != nullptr && held->dst == dst) return held->dist.data();
+
+  // Compute without a lock: a BFS over a large machine takes milliseconds,
+  // and concurrent misses on the same destination just redo identical work.
+  std::vector<std::uint16_t>& scratch = thread_scratch();
+  if (held != nullptr) {  // the slot belongs to another destination
+    fill_distances(dst, scratch);
+    return scratch.data();
+  }
+  auto field = std::make_unique<Field>();
+  field->dst = dst;
+  fill_distances(dst, field->dist);
+  if (slot.compare_exchange_strong(held, field.get(),
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return field.release()->dist.data();
+  }
+  if (held->dst == dst) return held->dist.data();  // another thread's copy
+  scratch.swap(field->dist);  // another destination took the slot first
+  return scratch.data();
 }
 
-void BfsRouter::route_append(Vertex src, Vertex dst, Prng& rng,
-                             std::vector<Vertex>& path) {
-  path.clear();
-  if (src == dst) {
-    path.push_back(src);
-    return;
-  }
-  const std::shared_ptr<const Field> field = distance_field(dst);
-  const Field& dist = *field;
+void BfsRouter::route_channels(Vertex src, Vertex dst, Prng& rng,
+                               std::vector<Channel>& out) {
+  if (src == dst) return;
+  const std::uint16_t* dist = distance_field(dst);
   if (dist[src] == kFar) {
     throw std::runtime_error("BfsRouter: destination unreachable");
   }
-  path.reserve(dist[src] + 1u);
-  path.push_back(src);
-  Vertex cur = src;
-  while (cur != dst) {
+  for (Vertex cur = src; cur != dst;) {
     const std::uint16_t want = static_cast<std::uint16_t>(dist[cur] - 1);
-    Vertex next = kNoVertex;
-    if (spread_) {
-      // Reservoir-sample uniformly among descent neighbors.
-      std::uint32_t seen = 0;
-      for (const Arc& a : machine_.graph.neighbors(cur)) {
-        if (dist[a.to] == want && rng.below(++seen) == 0) next = a.to;
+    const Channel end = graph_.arc_begin(cur + 1);
+    Channel next = kNoChannel;
+    std::uint32_t seen = 0;
+    for (Channel c = graph_.arc_begin(cur); c < end; ++c) {
+      if (dist[graph_.arc(c).to] != want) continue;
+      if (!spread_) {  // arcs are sorted by head: the first is the lowest
+        next = c;
+        break;
       }
-    } else {
-      for (const Arc& a : machine_.graph.neighbors(cur)) {
-        if (dist[a.to] == want && (next == kNoVertex || a.to < next)) {
-          next = a.to;
-        }
-      }
+      // Reservoir-sample uniformly among descent arcs.
+      if (rng.below(++seen) == 0) next = c;
     }
-    assert(next != kNoVertex);
-    path.push_back(next);
-    cur = next;
+    assert(next != kNoChannel);
+    out.push_back(next);
+    cur = graph_.arc(next).to;
   }
 }
 

@@ -22,18 +22,21 @@ namespace netemu {
 class ButterflyRouter final : public Router {
  public:
   explicit ButterflyRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "butterfly-level"; }
 
  private:
   unsigned d_;
   std::uint64_t rows_;
+  bool plain_;  // no splitter edges: arcs are found without a search
 };
 
 class ShuffleExchangeRouter final : public Router {
  public:
   explicit ShuffleExchangeRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "shuffle-exchange"; }
 
  private:
@@ -43,11 +46,11 @@ class ShuffleExchangeRouter final : public Router {
 class ValiantRouter final : public Router {
  public:
   ValiantRouter(const Machine& machine, std::unique_ptr<Router> base);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "valiant"; }
 
  private:
-  const Machine& machine_;
   std::unique_ptr<Router> base_;
 };
 

@@ -16,7 +16,8 @@ namespace netemu {
 class DimensionOrderRouter final : public Router {
  public:
   explicit DimensionOrderRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "dimension-order"; }
 
  private:
@@ -26,7 +27,8 @@ class DimensionOrderRouter final : public Router {
 class BitFixRouter final : public Router {
  public:
   explicit BitFixRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "bit-fix"; }
 
  private:
@@ -36,7 +38,8 @@ class BitFixRouter final : public Router {
 class DeBruijnShiftRouter final : public Router {
  public:
   explicit DeBruijnShiftRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "debruijn-shift"; }
 
  private:

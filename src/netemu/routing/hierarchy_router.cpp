@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <numeric>
+#include <span>
 
 #include "netemu/topology/detail/grid.hpp"
 #include "netemu/util/math.hpp"
@@ -9,92 +10,72 @@
 namespace netemu {
 
 HierarchyRouter::HierarchyRouter(const Machine& machine)
-    : k_(machine.dims), base_side_(machine.shape.at(0)) {
+    : Router(machine), k_(machine.dims) {
   assert(machine.family == Family::kPyramid ||
          machine.family == Family::kMultigrid);
+  assert(k_ <= kMaxRouteDims);  // a base side >= 2 gives 2^k base vertices
   std::uint64_t offset = 0;
-  for (std::uint32_t s = base_side_; s >= 1; s /= 2) {
+  for (std::uint32_t s = machine.shape.at(0); s >= 1; s /= 2) {
     level_offset_.push_back(offset);
-    level_side_.push_back(s);
+    level_sides_.emplace_back(k_, s);
     offset += ipow(s, k_);
     if (s == 1) break;
   }
 }
 
-HierarchyRouter::Position HierarchyRouter::position_of(Vertex v) const {
+std::uint32_t HierarchyRouter::locate(Vertex v, Coord& coord) const {
   std::uint32_t level = 0;
   while (level + 1 < level_offset_.size() && v >= level_offset_[level + 1]) {
     ++level;
   }
-  const std::vector<std::uint32_t> sides(k_, level_side_[level]);
-  return Position{level,
-                  detail::grid_coord(sides, v - level_offset_[level])};
+  detail::grid_coord(level_sides_[level], v - level_offset_[level], coord);
+  return level;
 }
 
-Vertex HierarchyRouter::vertex_of(
-    std::uint32_t level, const std::vector<std::uint32_t>& coord) const {
-  const std::vector<std::uint32_t> sides(k_, level_side_[level]);
+Vertex HierarchyRouter::vertex_of(std::uint32_t level,
+                                  const Coord& coord) const {
   return static_cast<Vertex>(level_offset_[level] +
-                             detail::grid_index(sides, coord));
+                             detail::grid_index(level_sides_[level], coord));
 }
 
-std::vector<std::uint32_t> HierarchyRouter::descend(
-    std::uint32_t level, std::vector<std::uint32_t> coord,
-    std::vector<Vertex>& out) const {
-  // The corner descendant doubles coordinates per level; both the pyramid
-  // (corner child's parent is this vertex) and the multigrid (explicit
-  // corner edge) have the needed edge.
+void HierarchyRouter::route_channels(Vertex src, Vertex dst, Prng& rng,
+                                     std::vector<Channel>& out) {
+  if (src == dst) return;
+  Coord cur{}, top{};
+  std::uint32_t level = locate(src, cur);
+  const std::uint32_t dst_level = locate(dst, top);
+
+  // Descend to src's base corner descendant.  The corner descendant doubles
+  // coordinates per level; both the pyramid (corner child's parent is this
+  // vertex) and the multigrid (explicit corner edge) have the needed edge.
+  Vertex at = src;
   while (level > 0) {
     --level;
-    for (auto& c : coord) c *= 2;
-    out.push_back(vertex_of(level, coord));
+    for (unsigned d = 0; d < k_; ++d) cur[d] *= 2;
+    at = hop(at, vertex_of(level, cur), out);
   }
-  return coord;
-}
-
-std::vector<Vertex> HierarchyRouter::route(Vertex src, Vertex dst,
-                                           Prng& rng) {
-  if (src == dst) return {src};
-  std::vector<Vertex> path{src};
-
-  const Position ps = position_of(src);
-  const Position pd = position_of(dst);
-  auto cur = descend(ps.level, ps.coord, path);
 
   // Base-level target: the corner descendant of dst.
-  auto goal = pd.coord;
-  for (std::uint32_t l = pd.level; l > 0; --l) {
-    for (auto& c : goal) c *= 2;
-  }
+  Coord goal{};
+  for (unsigned d = 0; d < k_; ++d) goal[d] = top[d] << dst_level;
 
   // Randomized dimension-order across the base mesh.
-  std::vector<std::size_t> axes(k_);
+  std::array<std::size_t, kMaxRouteDims> order{};
+  std::span<std::size_t> axes(order.data(), k_);
   std::iota(axes.begin(), axes.end(), std::size_t{0});
   shuffle(axes, rng);
   for (std::size_t d : axes) {
     while (cur[d] != goal[d]) {
       cur[d] += cur[d] < goal[d] ? 1 : -1;
-      path.push_back(vertex_of(0, cur));
+      at = hop(at, vertex_of(0, cur), out);
     }
   }
 
-  // Ascend to dst by reversing its descent chain.
-  if (pd.level > 0) {
-    std::vector<Vertex> down{dst};
-    auto coord = pd.coord;
-    std::uint32_t level = pd.level;
-    while (level > 0) {
-      --level;
-      for (auto& c : coord) c *= 2;
-      down.push_back(vertex_of(level, coord));
-    }
-    // down = dst, ..., base corner; append in reverse skipping the base
-    // vertex (already at the end of `path`).
-    for (std::size_t i = down.size() - 1; i-- > 0;) {
-      path.push_back(down[i]);
-    }
+  // Ascend to dst up its corner chain, coordinates halving per level.
+  for (std::uint32_t l = 1; l <= dst_level; ++l) {
+    for (unsigned d = 0; d < k_; ++d) cur[d] = top[d] << (dst_level - l);
+    at = hop(at, vertex_of(l, cur), out);
   }
-  return path;
 }
 
 }  // namespace netemu

@@ -1,6 +1,7 @@
 #include "netemu/routing/packet_sim.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -155,46 +156,24 @@ const char* arbitration_name(Arbitration a) {
 
 PacketSimulator::PacketSimulator(const Machine& machine,
                                  Arbitration arbitration)
-    : arbitration_(arbitration) {
-  const Multigraph& g = machine.graph;
-  const std::size_t n = g.num_vertices();
-  arc_base_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    arc_base_[v + 1] = arc_base_[v] + g.num_neighbors(static_cast<Vertex>(v));
-  }
-  const std::size_t channels = arc_base_[n];
-  arc_to_.resize(channels);
+    : graph_(machine.graph), arbitration_(arbitration) {
+  const std::size_t channels = graph_.num_arcs();
   channel_cap_.resize(channels);
-  for (std::size_t v = 0; v < n; ++v) {
-    // Sort each vertex's outgoing channels by head so channel_of can
-    // binary-search.
-    auto arcs = g.neighbors(static_cast<Vertex>(v));
-    std::vector<Arc> sorted(arcs.begin(), arcs.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Arc& a, const Arc& b) { return a.to < b.to; });
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      const std::size_t c = arc_base_[v] + i;
-      arc_to_[c] = sorted[i].to;
-      channel_cap_[c] = sorted[i].mult;
-    }
-  }
+  for (Channel c = 0; c < channels; ++c) channel_cap_[c] = graph_.arc(c).mult;
 
   // Arbitration domains: every channel is its own domain, except that the
   // out-channels of a node whose forward_cap can bind (it is below the
   // node's total wires) share one domain, numbered after the channels.
   domain_of_.resize(channels);
   for (std::uint32_t c = 0; c < channels; ++c) domain_of_[c] = c;
-  for (std::size_t v = 0; v < machine.forward_cap.size(); ++v) {
+  for (Vertex v = 0; v < machine.forward_cap.size(); ++v) {
     const std::uint32_t cap = machine.forward_cap[v];
+    const Channel begin = graph_.arc_begin(v), end = graph_.arc_begin(v + 1);
     std::uint64_t wires = 0;
-    for (std::size_t c = arc_base_[v]; c < arc_base_[v + 1]; ++c) {
-      wires += channel_cap_[c];
-    }
+    for (Channel c = begin; c < end; ++c) wires += channel_cap_[c];
     if (cap == kUnlimitedForward || cap >= wires) continue;
     const auto d = static_cast<std::uint32_t>(channels + node_cap_.size());
-    for (std::size_t c = arc_base_[v]; c < arc_base_[v + 1]; ++c) {
-      domain_of_[c] = d;
-    }
+    for (Channel c = begin; c < end; ++c) domain_of_[c] = d;
     node_cap_.push_back(cap);
     node_multi_ = node_multi_ || cap > 1;
   }
@@ -210,24 +189,25 @@ bool PacketSimulator::uses_sweep(const PreparedBatch& batch) const {
              kSweepWaitRatio * batch.total_hops();
 }
 
-std::uint32_t PacketSimulator::channel_of(Vertex u, Vertex v) const {
-  const auto begin = arc_to_.begin() + static_cast<std::ptrdiff_t>(arc_base_[u]);
-  const auto end = arc_to_.begin() + static_cast<std::ptrdiff_t>(arc_base_[u + 1]);
-  const auto it = std::lower_bound(begin, end, v);
-  if (it == end || *it != v) {
-    throw std::runtime_error("PacketSimulator: path uses a missing edge");
+void PacketSimulator::append_channels(PreparedBatch& batch,
+                                      std::span<const Channel> channels) const {
+  if (batch.load_.empty()) batch.load_.assign(channel_cap_.size(), 0);
+  for (const Channel c : channels) {
+    assert(c < channel_cap_.size());
+    batch.push_hop(c);
   }
-  return static_cast<std::uint32_t>(it - arc_to_.begin());
+  batch.seq_off_.push_back(static_cast<std::uint32_t>(batch.seq_.size()));
 }
 
 void PacketSimulator::append(PreparedBatch& batch,
                              const std::vector<Vertex>& path) const {
   if (batch.load_.empty()) batch.load_.assign(channel_cap_.size(), 0);
   for (std::size_t j = 0; j + 1 < path.size(); ++j) {
-    const std::uint32_t c = channel_of(path[j], path[j + 1]);
-    batch.seq_.push_back(c);
-    batch.static_congestion_ =
-        std::max<std::uint64_t>(batch.static_congestion_, ++batch.load_[c]);
+    const Channel c = graph_.arc_index(path[j], path[j + 1]);
+    if (c == kNoChannel) {
+      throw std::runtime_error("PacketSimulator: path uses a missing edge");
+    }
+    batch.push_hop(c);
   }
   batch.seq_off_.push_back(static_cast<std::uint32_t>(batch.seq_.size()));
 }

@@ -14,20 +14,24 @@
 // is the default (it is the policy family behind the O(congestion+dilation)
 // routing theorem the paper leans on), FIFO and random are ablation knobs.
 //
-// Hot-path design (see docs/PERF.md): paths are flattened ONCE into a
-// PreparedBatch of channel-id sequences (channel_of resolved at flatten
-// time, never per tick).  The tick loop is event-driven: every arbitration
-// domain (a channel, or a node whose forward_cap can bind) keeps its
-// waiting messages in a priority queue, and a tick pops each non-empty
-// domain's winners and pushes them into their next domain, so a batch
-// costs per hop advanced rather than per waiting message per tick.
+// Hot-path design (see docs/PERF.md): a message's route is a sequence of
+// channel ids, the arc indices of machine.graph (routers emit them
+// directly; a vertex walk is resolved once at flatten time), kept in a
+// PreparedBatch and never re-resolved per tick.  The tick loop is
+// event-driven: every arbitration domain (a channel, or a node whose
+// forward_cap can bind) keeps its waiting messages in a priority queue,
+// and a tick pops each non-empty domain's winners and pushes them into
+// their next domain, so a batch costs per hop advanced rather than per
+// waiting message per tick.
 // Lightly loaded unit-capacity batches, where messages rarely wait, keep a
 // one-sweep-per-tick running-min loop instead.  PreparedBatch is appendable
 // so a batch-doubling caller reuses the already-flattened prefix instead of
 // re-resolving every path.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "netemu/topology/machine.hpp"
@@ -66,9 +70,9 @@ std::uint64_t simulated_messages_total();
 
 class PacketSimulator {
  public:
-  /// Paths flattened into per-message channel-id sequences.  Built by
-  /// prepare()/append() of the simulator that will run it (channel ids are
-  /// simulator-specific) and reusable across any number of run_batch calls.
+  /// Per-message channel-id sequences.  Built by prepare() and the appends
+  /// of a simulator of the machine it will run on, and reusable across any
+  /// number of run_batch calls.
   class PreparedBatch {
    public:
     std::size_t size() const { return seq_off_.size() - 1; }
@@ -86,21 +90,36 @@ class PacketSimulator {
 
    private:
     friend class PacketSimulator;
+    void push_hop(Channel c) {
+      seq_.push_back(c);
+      static_congestion_ =
+          std::max<std::uint64_t>(static_congestion_, ++load_[c]);
+    }
+
     std::vector<std::uint32_t> seq_;           // concatenated channel ids
     std::vector<std::uint32_t> seq_off_{0};    // per-message offsets, size m+1
     std::vector<std::uint32_t> load_;          // per-channel static load
     std::uint64_t static_congestion_ = 0;
   };
 
+  /// Keeps a reference to machine.graph, which must outlive the simulator.
   explicit PacketSimulator(const Machine& machine,
                            Arbitration arbitration = Arbitration::kFarthestFirst);
+  PacketSimulator(Machine&&, Arbitration = Arbitration::kFarthestFirst) =
+      delete;
 
   /// Flatten full vertex paths into channel sequences (throws if a path uses
   /// a missing edge).  Paths of length <= 1 contribute no hops.
   PreparedBatch prepare(const std::vector<std::vector<Vertex>>& paths) const;
 
-  /// Append one more routed path to an existing batch (batch-doubling
-  /// top-up); static congestion is maintained incrementally.
+  /// Append one more message, routed as channel ids (Router::route_channels)
+  /// — the hot path of batch building.  Static congestion is maintained
+  /// incrementally.
+  void append_channels(PreparedBatch& batch,
+                       std::span<const Channel> channels) const;
+
+  /// append_channels for a vertex walk, each hop resolved to its channel
+  /// (throws if the walk uses a missing edge).
   void append(PreparedBatch& batch, const std::vector<Vertex>& path) const;
 
   /// Route a prepared batch to completion.  rng feeds the random arbitration
@@ -127,8 +146,6 @@ class PacketSimulator {
   bool uses_sweep(const PreparedBatch& batch) const;
 
  private:
-  std::uint32_t channel_of(Vertex u, Vertex v) const;
-
   template <Arbitration kPolicy>
   BatchStats run_policy(const PreparedBatch& batch,
                         const std::uint32_t* rand_key_by_msg,
@@ -142,11 +159,8 @@ class PacketSimulator {
                         const std::uint32_t* rand_key_by_msg,
                         const CancelToken& cancel) const;
 
+  const Multigraph& graph_;
   Arbitration arbitration_;
-  // Directed channel table: channel id = arc slot in a flattened per-vertex
-  // layout; capacity = edge multiplicity.
-  std::vector<std::size_t> arc_base_;          // per-vertex offset
-  std::vector<Vertex> arc_to_;                 // channel -> head vertex
   std::vector<std::uint32_t> channel_cap_;     // channel -> wires
   // Arbitration domains: channel ids first (a channel domain passes
   // channel_cap_ messages a tick), then one per node whose forward_cap is

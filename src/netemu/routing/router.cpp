@@ -1,5 +1,7 @@
 #include "netemu/routing/router.hpp"
 
+#include <type_traits>
+
 #include "netemu/routing/bfs_router.hpp"
 #include "netemu/routing/butterfly_router.hpp"
 #include "netemu/routing/dimension_order.hpp"
@@ -8,6 +10,22 @@
 #include "netemu/routing/xtree_router.hpp"
 
 namespace netemu {
+
+std::vector<Vertex> Router::route(Vertex src, Vertex dst, Prng& rng) {
+  std::vector<Vertex> path;
+  route_append(src, dst, rng, path);
+  return path;
+}
+
+void Router::route_append(Vertex src, Vertex dst, Prng& rng,
+                          std::vector<Vertex>& out) {
+  // Both ids are 32-bit, so the channels land in `out` after src and are
+  // then replaced by their heads in place.
+  static_assert(std::is_same_v<Vertex, Channel>);
+  out.assign(1, src);
+  route_channels(src, dst, rng, out);
+  for (std::size_t i = 1; i < out.size(); ++i) out[i] = graph_.arc(out[i]).to;
+}
 
 std::unique_ptr<Router> make_default_router(const Machine& machine) {
   switch (machine.family) {

@@ -1,10 +1,13 @@
 #pragma once
-// Router interface: a router turns (src, dst) into a concrete walk through
-// the machine.  Specialized routers exist for the algebraically-routable
-// families (dimension-order for grids, bit-fixing for hypercubes, shift
-// routing for de Bruijn, level routing for butterflies, LCA for trees);
-// BfsRouter covers everything else with random shortest paths.
+// Router interface: a router turns (src, dst) into a route through the
+// machine, emitted as channel ids (arc indices of machine.graph, the
+// numbering PacketSimulator runs on; see Multigraph).  Specialized routers
+// exist for the algebraically-routable families (dimension-order for grids,
+// bit-fixing for hypercubes, shift routing for de Bruijn, level routing for
+// butterflies, LCA for trees); BfsRouter covers everything else with random
+// shortest paths.
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -14,25 +17,30 @@
 
 namespace netemu {
 
+/// Most axes the coordinate routers handle: a grid of at most 2^32
+/// vertices with every side >= 2 has at most 32.
+inline constexpr std::size_t kMaxRouteDims = 32;
+
 class Router {
  public:
   virtual ~Router() = default;
 
-  /// Walk from src to dst inclusive of both endpoints; consecutive entries
-  /// must be adjacent in the machine's graph.  rng may be used for
-  /// congestion-spreading tie-breaks.
-  virtual std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) = 0;
+  /// Append the channels of a walk from src to dst to `out`: the first
+  /// leaves src, each next one leaves the head of the one before, the last
+  /// enters dst (none when src == dst).  rng may be used for
+  /// congestion-spreading tie-breaks.  Allocates nothing beyond `out`'s
+  /// growth, and is safe to call concurrently.
+  virtual void route_channels(Vertex src, Vertex dst, Prng& rng,
+                              std::vector<Channel>& out) = 0;
 
-  /// Buffer-reuse variant for hot loops (measure_throughput routes tens of
-  /// thousands of messages per trial): fill `out` with the walk instead of
-  /// allocating a fresh vector per message.  Must produce exactly the path
-  /// route() would — same vertices, same rng draws — so the two are
-  /// interchangeable without perturbing seeded results.  The default
-  /// delegates to route(); routers on the hot path override it.
-  virtual void route_append(Vertex src, Vertex dst, Prng& rng,
-                            std::vector<Vertex>& out) {
-    out = route(src, dst, rng);
-  }
+  /// The walk as vertices: src, then the head of every channel.  Same rng
+  /// draws as route_channels; for the callers that want walks (embedding,
+  /// emulation, tests).
+  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng);
+
+  /// route() into a reused buffer: `out` is replaced by the walk.
+  void route_append(Vertex src, Vertex dst, Prng& rng,
+                    std::vector<Vertex>& out);
 
   virtual const char* name() const = 0;
 
@@ -42,6 +50,19 @@ class Router {
   /// the per-message checks in measure_throughput.  Set before handing the
   /// router to concurrent trials; never affects the routes produced.
   virtual void set_cancel_token(CancelToken /*cancel*/) {}
+
+ protected:
+  explicit Router(const Machine& machine) : graph_(machine.graph) {}
+
+  /// Append the channel u -> v, an edge of the machine, and return v.
+  Vertex hop(Vertex u, Vertex v, std::vector<Channel>& out) const {
+    const Channel c = graph_.arc_index(u, v);
+    assert(c != kNoChannel && "router stepped off the machine");
+    out.push_back(c);
+    return v;
+  }
+
+  const Multigraph& graph_;
 };
 
 /// Family-dispatched router choice: algebraic router when one exists for

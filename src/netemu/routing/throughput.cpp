@@ -9,7 +9,7 @@ namespace netemu {
 
 namespace {
 
-/// Sample `extra` messages and append their routed paths to `batch`.
+/// Sample `extra` messages and append their routes to `batch`.
 /// Polls `cancel` between routes; routing a message costs microseconds so a
 /// per-message check is already amortized relative to kCancelCheckTicks.
 void route_into(PacketSimulator::PreparedBatch& batch,
@@ -17,7 +17,7 @@ void route_into(PacketSimulator::PreparedBatch& batch,
                 const TrafficDistribution& traffic, std::size_t extra,
                 Prng& rng, const CancelToken& cancel) {
   // Pre-size from the running average path length (or a small guess on an
-  // empty batch) and reuse one path buffer across messages: tens of
+  // empty batch) and reuse one channel buffer across messages: tens of
   // thousands of per-message vector allocations per trial otherwise
   // dominate the non-simulating half of the trial.
   const std::size_t hops_hint =
@@ -26,11 +26,12 @@ void route_into(PacketSimulator::PreparedBatch& batch,
                 extra
           : 8 * extra;
   batch.reserve(extra, hops_hint);
-  std::vector<Vertex> path;
+  std::vector<Channel> channels;
   for (const Message& msg : traffic.batch(extra, rng)) {
     cancel.check();
-    router.route_append(msg.src, msg.dst, rng, path);
-    sim.append(batch, path);
+    channels.clear();
+    router.route_channels(msg.src, msg.dst, rng, channels);
+    sim.append_channels(batch, channels);
   }
 }
 

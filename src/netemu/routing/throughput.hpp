@@ -16,9 +16,10 @@
 // trial index.  The outcome is therefore bit-identical at any thread count
 // to the serial order "trial 0, trial 1, ..., trial T-1".
 //
-// Routers used with a concurrent pool must tolerate concurrent route()
-// calls; every bundled router is stateless per call except BfsRouter, whose
-// distance-field cache is internally synchronized.
+// Routers used with a concurrent pool must tolerate concurrent
+// route_channels() calls.  Every bundled router keeps no per-call state;
+// BfsRouter's distance fields are published once and read with one acquire
+// load, without a lock.
 
 #include <cstddef>
 #include <vector>

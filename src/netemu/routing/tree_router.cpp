@@ -3,85 +3,66 @@
 #include <algorithm>
 #include <cassert>
 
-#include "netemu/util/math.hpp"
-
 namespace netemu {
 
-TreeRouter::TreeRouter(const Machine& machine) {
+TreeRouter::TreeRouter(const Machine& machine) : Router(machine) {
   assert(machine.family == Family::kTree ||
          machine.family == Family::kFatTree ||
          machine.family == Family::kWeakPPN);
-  (void)machine;
 }
 
-std::vector<Vertex> TreeRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  // Heap depth of vertex i is ilog2(i + 1).
-  std::vector<Vertex> up{src};
-  std::vector<Vertex> down{dst};
-  Vertex a = src, b = dst;
-  while (ilog2(a + 1u) > ilog2(b + 1u)) {
-    a = (a - 1) / 2;
-    up.push_back(a);
-  }
-  while (ilog2(b + 1u) > ilog2(a + 1u)) {
-    b = (b - 1) / 2;
-    down.push_back(b);
-  }
+void TreeRouter::route_channels(Vertex src, Vertex dst, Prng& /*rng*/,
+                                std::vector<Channel>& out) {
+  // The LCA: both endpoints' ancestors at the shallower depth, climbed
+  // together until they meet.
+  unsigned lca_depth = std::min(heap_depth(src), heap_depth(dst));
+  Vertex a = heap_ancestor(src, lca_depth), b = heap_ancestor(dst, lca_depth);
   while (a != b) {
     a = (a - 1) / 2;
-    up.push_back(a);
     b = (b - 1) / 2;
-    down.push_back(b);
+    --lca_depth;
   }
-  up.pop_back();  // LCA would be duplicated
-  up.insert(up.end(), down.rbegin(), down.rend());
-  return up;
+  Vertex cur = src;
+  while (cur != a) cur = hop(cur, (cur - 1) / 2, out);
+  for (unsigned d = lca_depth + 1; d <= heap_depth(dst); ++d) {
+    cur = hop(cur, heap_ancestor(dst, d), out);
+  }
 }
 
-LineRouter::LineRouter(const Machine& machine) {
+LineRouter::LineRouter(const Machine& machine) : Router(machine) {
   assert(machine.family == Family::kLinearArray);
-  (void)machine;
 }
 
-std::vector<Vertex> LineRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  std::vector<Vertex> path;
-  path.reserve(static_cast<std::size_t>(
-                   src > dst ? src - dst : dst - src) + 1);
-  const int dir = dst >= src ? 1 : -1;
-  for (Vertex v = src;; v = static_cast<Vertex>(static_cast<int>(v) + dir)) {
-    path.push_back(v);
-    if (v == dst) break;
-  }
-  return path;
+void LineRouter::route_channels(Vertex src, Vertex dst, Prng& /*rng*/,
+                                std::vector<Channel>& out) {
+  for (Vertex v = src; v != dst;) v = hop(v, dst > v ? v + 1 : v - 1, out);
 }
 
 RingRouter::RingRouter(const Machine& machine)
-    : n_(machine.graph.num_vertices()) {
+    : Router(machine), n_(machine.graph.num_vertices()) {
   assert(machine.family == Family::kRing);
 }
 
-std::vector<Vertex> RingRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  std::vector<Vertex> path{src};
-  if (src == dst) return path;
+void RingRouter::route_channels(Vertex src, Vertex dst, Prng& /*rng*/,
+                                std::vector<Channel>& out) {
   const std::size_t fwd = (dst + n_ - src) % n_;
-  const int dir = 2 * fwd <= n_ ? 1 : -1;
-  Vertex cur = src;
-  while (cur != dst) {
-    cur = static_cast<Vertex>((cur + n_ + static_cast<std::size_t>(dir)) % n_);
-    path.push_back(cur);
+  const std::size_t step = 2 * fwd <= n_ ? 1 : n_ - 1;  // +1 or -1 mod n
+  for (Vertex cur = src; cur != dst;) {
+    cur = hop(cur, static_cast<Vertex>((cur + step) % n_), out);
   }
-  return path;
 }
 
 BusRouter::BusRouter(const Machine& machine)
-    : hub_(static_cast<Vertex>(machine.graph.num_vertices() - 1)) {
+    : Router(machine),
+      hub_(static_cast<Vertex>(machine.graph.num_vertices() - 1)) {
   assert(machine.family == Family::kGlobalBus);
 }
 
-std::vector<Vertex> BusRouter::route(Vertex src, Vertex dst, Prng& /*rng*/) {
-  if (src == dst) return {src};
-  if (src == hub_ || dst == hub_) return {src, dst};
-  return {src, hub_, dst};
+void BusRouter::route_channels(Vertex src, Vertex dst, Prng& /*rng*/,
+                               std::vector<Channel>& out) {
+  if (src == dst) return;
+  if (src != hub_ && dst != hub_) src = hop(src, hub_, out);
+  hop(src, dst, out);
 }
 
 }  // namespace netemu

@@ -1,33 +1,20 @@
 #include "netemu/routing/xtree_router.hpp"
 
+#include <algorithm>
 #include <cassert>
 
-#include "netemu/util/math.hpp"
+#include "netemu/routing/tree_router.hpp"
 
 namespace netemu {
 
-namespace {
-
-unsigned depth_of(Vertex v) { return ilog2(v + 1u); }
-
-/// Ancestor of v at depth d (d <= depth(v)).
-Vertex ancestor_at(Vertex v, unsigned d) {
-  for (unsigned cur = depth_of(v); cur > d; --cur) {
-    v = (v - 1) / 2;
-  }
-  return v;
-}
-
-}  // namespace
-
-XTreeRouter::XTreeRouter(const Machine& machine)
-    : height_(machine.shape.at(0)) {
+XTreeRouter::XTreeRouter(const Machine& machine) : Router(machine) {
   assert(machine.family == Family::kXTree);
 }
 
-std::vector<Vertex> XTreeRouter::route(Vertex src, Vertex dst, Prng& rng) {
-  if (src == dst) return {src};
-  const unsigned du = depth_of(src), dv = depth_of(dst);
+void XTreeRouter::route_channels(Vertex src, Vertex dst, Prng& rng,
+                                 std::vector<Channel>& out) {
+  if (src == dst) return;
+  const unsigned du = heap_depth(src), dv = heap_depth(dst);
   // Crossing depth: uniform over the rings both endpoints can reach, but no
   // deeper than the LCA's depth + a few levels — locality for nearby pairs
   // while the global traffic still spreads over Θ(lg n) rings.
@@ -35,32 +22,16 @@ std::vector<Vertex> XTreeRouter::route(Vertex src, Vertex dst, Prng& rng) {
   const unsigned l =
       static_cast<unsigned>(rng.below(reach + 1u));
 
-  std::vector<Vertex> path{src};
   Vertex cur = src;
   // Climb to depth l.
-  while (depth_of(cur) > l) {
-    cur = (cur - 1) / 2;
-    path.push_back(cur);
-  }
+  while (heap_depth(cur) > l) cur = hop(cur, (cur - 1) / 2, out);
   // Walk laterally along ring l to dst's ancestor.
-  const Vertex target = ancestor_at(dst, l);
-  while (cur != target) {
-    cur = cur < target ? cur + 1 : cur - 1;
-    path.push_back(cur);
-  }
+  const Vertex target = heap_ancestor(dst, l);
+  while (cur != target) cur = hop(cur, cur < target ? cur + 1 : cur - 1, out);
   // Descend along dst's ancestor chain.
-  if (depth_of(dst) > l) {
-    std::vector<Vertex> chain;  // dst up to (but excluding) depth l
-    Vertex w = dst;
-    while (depth_of(w) > l) {
-      chain.push_back(w);
-      w = (w - 1) / 2;
-    }
-    for (std::size_t i = chain.size(); i-- > 0;) {
-      path.push_back(chain[i]);
-    }
+  for (unsigned d = l + 1; d <= dv; ++d) {
+    cur = hop(cur, heap_ancestor(dst, d), out);
   }
-  return path;
 }
 
 }  // namespace netemu

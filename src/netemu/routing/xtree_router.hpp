@@ -18,11 +18,9 @@ namespace netemu {
 class XTreeRouter final : public Router {
  public:
   explicit XTreeRouter(const Machine& machine);
-  std::vector<Vertex> route(Vertex src, Vertex dst, Prng& rng) override;
+  void route_channels(Vertex src, Vertex dst, Prng& rng,
+                      std::vector<Channel>& out) override;
   const char* name() const override { return "xtree-ring"; }
-
- private:
-  unsigned height_;
 };
 
 }  // namespace netemu

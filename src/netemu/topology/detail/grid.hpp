@@ -13,8 +13,11 @@ inline std::uint64_t grid_size(const std::vector<std::uint32_t>& sides) {
   return n;
 }
 
-inline std::uint64_t grid_index(const std::vector<std::uint32_t>& sides,
-                                const std::vector<std::uint32_t>& coord) {
+/// `Coord` is any indexable coordinate buffer: the routers keep theirs in
+/// fixed-size arrays so a route allocates nothing.
+template <class Coord>
+std::uint64_t grid_index(const std::vector<std::uint32_t>& sides,
+                         const Coord& coord) {
   std::uint64_t idx = 0;
   for (std::size_t d = 0; d < sides.size(); ++d) {
     idx = idx * sides[d] + coord[d];
@@ -22,14 +25,14 @@ inline std::uint64_t grid_index(const std::vector<std::uint32_t>& sides,
   return idx;
 }
 
-inline std::vector<std::uint32_t> grid_coord(
-    const std::vector<std::uint32_t>& sides, std::uint64_t idx) {
-  std::vector<std::uint32_t> coord(sides.size());
+/// The coordinates of `idx`, written to coord[0 .. sides.size()).
+template <class Coord>
+void grid_coord(const std::vector<std::uint32_t>& sides, std::uint64_t idx,
+                Coord& coord) {
   for (std::size_t d = sides.size(); d-- > 0;) {
     coord[d] = static_cast<std::uint32_t>(idx % sides[d]);
     idx /= sides[d];
   }
-  return coord;
 }
 
 /// Call fn(coord) for every lattice point.

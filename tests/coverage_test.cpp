@@ -22,14 +22,21 @@ std::vector<Vertex> iota_procs(std::size_t n) {
   return p;
 }
 
-TEST(BfsRouterCache, EvictsWhenOverBudget) {
+TEST(BfsRouterCache, PastBudgetRoutesMatchUnbounded) {
   Prng rng(1);
   const Machine m = make_ccc(4);  // 64 vertices
-  // Budget for exactly one distance field: 64 entries * 2 bytes.
-  BfsRouter router(m, true, 64 * sizeof(std::uint16_t));
-  for (Vertex dst = 0; dst < 16; ++dst) {
-    const auto path = router.route(0, dst, rng);
-    EXPECT_TRUE(path_is_valid(m.graph, path, 0, dst));
+  // Budget for exactly one distance field: 64 entries * 2 bytes.  One
+  // destination keeps its field; every other one is recomputed per route.
+  BfsRouter bounded(m, true, 64 * sizeof(std::uint16_t));
+  BfsRouter unbounded(m, true);
+  for (int round = 0; round < 2; ++round) {
+    for (Vertex dst = 0; dst < 16; ++dst) {
+      const Vertex src = (7 * dst + 13 * round + 1) % 64;
+      Prng same = rng;
+      const auto path = bounded.route(src, dst, rng);
+      EXPECT_TRUE(path_is_valid(m.graph, path, src, dst));
+      EXPECT_EQ(path, unbounded.route(src, dst, same)) << src << "->" << dst;
+    }
   }
 }
 

@@ -72,6 +72,37 @@ TEST(Multigraph, NeighborsAndArcEdgeIndices) {
   }
 }
 
+TEST(Multigraph, ArcsSortedByHeadAreChannelIds) {
+  // Edges inserted in scrambled order and orientation: every vertex's arcs
+  // still come out sorted by head, and arc_index finds each one's CSR slot.
+  MultigraphBuilder b(6);
+  b.add_edge(5, 0);
+  b.add_edge(3, 1, 2);
+  b.add_edge(0, 3);
+  b.add_edge(4, 3);
+  b.add_edge(1, 0);
+  b.add_edge(3, 2);
+  b.add_edge(3, 5);
+  const Multigraph g = std::move(b).build();
+  ASSERT_EQ(g.num_arcs(), 2 * g.num_edges());
+  for (Vertex u = 0; u < 6; ++u) {
+    const auto arcs = g.neighbors(u);
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(arcs[i - 1].to, arcs[i].to) << u;
+      }
+      const Channel c = g.arc_begin(u) + static_cast<Channel>(i);
+      EXPECT_EQ(g.arc_index(u, arcs[i].to), c);
+      EXPECT_EQ(&g.arc(c), &arcs[i]);
+    }
+    EXPECT_EQ(g.arc_begin(u + 1) - g.arc_begin(u), arcs.size());
+  }
+  EXPECT_EQ(g.arc_index(0, 2), kNoChannel);
+  EXPECT_EQ(g.arc_index(4, 5), kNoChannel);
+  EXPECT_EQ(g.multiplicity(1, 3), 2u);
+  EXPECT_EQ(g.multiplicity(2, 4), 0u);
+}
+
 TEST(Multigraph, ScaledMultipliesEveryEdge) {
   Multigraph g = path_graph(4).scaled(3);
   EXPECT_EQ(g.total_multiplicity(), 9u);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <numeric>
+#include <thread>
+#include <utility>
 
 #include "netemu/graph/algorithms.hpp"
 #include "netemu/routing/bfs_router.hpp"
@@ -30,6 +33,22 @@ double measure_rate(const Machine& m, Prng& rng,
       TrafficDistribution::symmetric(iota_procs(m.graph.num_vertices()));
   const auto router = make_default_router(m);
   return measure_throughput(m, *router, traffic, rng, opt).rate;
+}
+
+// Every channel leaves the head of the one before it (src for the first),
+// and the last enters dst.
+bool channels_are_walk(const Multigraph& g,
+                       const std::vector<Channel>& channels, Vertex src,
+                       Vertex dst) {
+  Vertex at = src;
+  for (const Channel c : channels) {
+    if (c >= g.num_arcs()) return false;
+    const Arc& a = g.arc(c);
+    const Edge& e = g.edge(a.edge);
+    if ((a.to == e.u ? e.v : e.u) != at) return false;  // c's tail
+    at = a.to;
+  }
+  return at == dst;
 }
 
 // --------------------------------------------------------------------------
@@ -72,6 +91,33 @@ TEST_P(RouterValidity, AllPairsPathsAreValidAndShortEnough) {
         limit = m.graph.num_vertices();
       }
       EXPECT_LE(path.size() - 1, limit) << m.name << " " << u << "->" << v;
+    }
+  }
+}
+
+TEST_P(RouterValidity, ChannelsWalkTheVertexView) {
+  Prng rng(98);
+  const Machine m = make_machine(GetParam().family, 80, GetParam().k, rng);
+  const std::size_t n = m.graph.num_vertices();
+  std::unique_ptr<Router> routers[] = {make_default_router(m),
+                                       make_bfs_router(m),
+                                       make_valiant_router(m)};
+  std::vector<Channel> channels;
+  for (const auto& router : routers) {
+    for (Vertex u = 0; u < n; ++u) {
+      for (Vertex v = 0; v < n; ++v) {
+        Prng view_rng = rng;  // the vertex view from the same rng state
+        channels.clear();
+        router->route_channels(u, v, rng, channels);
+        ASSERT_TRUE(channels_are_walk(m.graph, channels, u, v))
+            << router->name() << " " << m.name << " " << u << "->" << v;
+        const auto path = router->route(u, v, view_rng);
+        ASSERT_EQ(path.size(), channels.size() + 1);
+        for (std::size_t i = 0; i < channels.size(); ++i) {
+          EXPECT_EQ(path[i + 1], m.graph.arc(channels[i]).to);
+        }
+        ASSERT_EQ(view_rng(), rng());  // same draws
+      }
     }
   }
 }
@@ -359,6 +405,48 @@ TEST(ValiantRouter, SpreadsTransposeCongestion) {
     return sim.run_batch(paths, rng).static_congestion;
   };
   EXPECT_LT(congestion_of(valiant), congestion_of(direct));
+}
+
+TEST(BfsRouter, ConcurrentColdRoutesMatchSerial) {
+  // Four threads route the same messages through one router whose table
+  // starts cold, so they race to compute and publish every field: once
+  // with room for all fields and once with room for one, where the rest
+  // are computed into per-thread scratch.  Each thread must emit exactly
+  // the serial run's channels.
+  const Machine m = make_ccc(5);  // 160 vertices
+  const std::size_t n = m.graph.num_vertices();
+  constexpr std::size_t kMessages = 1500;
+  const auto route_all = [&](BfsRouter& router) {
+    std::vector<Channel> channels;
+    std::vector<std::size_t> offsets = {0};
+    for (std::size_t i = 0; i < kMessages; ++i) {
+      Prng rng = Prng::stream(404, i);
+      const auto src = static_cast<Vertex>(rng.below(n));
+      const auto dst = static_cast<Vertex>(rng.below(n));
+      router.route_channels(src, dst, rng, channels);
+      offsets.push_back(channels.size());
+    }
+    return std::make_pair(channels, offsets);
+  };
+  BfsRouter reference(m);
+  const auto serial = route_all(reference);
+
+  for (const std::size_t budget :
+       {std::size_t{256} << 20, n * sizeof(std::uint16_t)}) {
+    SCOPED_TRACE(budget);
+    BfsRouter shared(m, /*spread=*/true, budget);
+    std::vector<decltype(route_all(shared))> runs(4);
+    std::latch start(4);
+    std::vector<std::thread> threads;
+    for (auto& run : runs) {
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        run = route_all(shared);
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (const auto& run : runs) EXPECT_EQ(run, serial);
+  }
 }
 
 TEST(BusRouter, ThroughHub) {
