@@ -26,8 +26,15 @@
 //   * the hot phase is failure-free
 //   * parking the storm adds no thread to the process
 //
+// --fleet runs the same phases against a fleet front door (FleetFrontDoor
+// behind the Server, as netemu_fleet runs it) over two in-process
+// backends, with the same gates.  It also reports, for the latency phase's
+// concurrent requests, the threads the process added and the backend
+// connections the fleet held per request in flight.
+//
 // Writes BENCH_service.json (schema netemu-bench-service/2) so every PR has
-// a tracked serving-plane baseline next to BENCH_sim.json.
+// a tracked serving-plane baseline next to BENCH_sim.json; --fleet writes
+// BENCH_service_fleet.json.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -37,6 +44,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -47,6 +55,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "netemu/fleet/front_door.hpp"
+#include "netemu/fleet/router.hpp"
 #include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/service/server.hpp"
@@ -208,32 +218,84 @@ struct StormResult {
   std::uint64_t hot_failures = 0;
   double p50_us = 0.0;
   double p99_us = 0.0;
+  long threads_idle = -1;          ///< threads before the latency phase
+  long threads_latency_peak = -1;  ///< ... most during it
+  double backend_conns_peak = 0.0; ///< fleet backend connections, most
 };
 
-StormResult run_storm(std::size_t storm_conns, double hot_seconds,
+/// A cheap echo compute: the bench measures the serving stack, not the
+/// planner; real query math would drown the I/O plane in compute noise.
+QueryExecutor::Options echo_options() {
+  QueryExecutor::Options options;
+  options.compute = [](const Query& q, const CancelToken&) {
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  return options;
+}
+
+/// What the phases run against: one executor behind the server, or
+/// (fleet) a front door behind it over two executor-backed backends.
+struct Stack {
+  bool start(bool fleet, std::string* error) {
+    Server::Options options;
+    options.port = 0;
+    if (!fleet) {
+      executors.push_back(std::make_unique<QueryExecutor>(echo_options()));
+      server = std::make_unique<Server>(*executors.back(), options);
+      return server->start(error);
+    }
+    FleetRouter::Options router_options;
+    for (int i = 0; i < 2; ++i) {
+      executors.push_back(std::make_unique<QueryExecutor>(echo_options()));
+      backends.push_back(std::make_unique<Server>(*executors.back(), options));
+      if (!backends.back()->start(error)) return false;
+      router_options.backends.push_back({backends.back()->port(), ""});
+    }
+    router = std::make_unique<FleetRouter>(router_options);
+    door = std::make_unique<FleetFrontDoor>(*router);
+    server = std::make_unique<Server>(
+        [door = door.get()](std::string line, const std::string& peer,
+                            Reactor& reactor, Server::Reply reply) {
+          door->handle(reactor, line, peer,
+                       [reply](FleetFrontDoor::Answer answer) {
+                         reply(std::move(answer.line), answer.shutdown);
+                       });
+        },
+        options);
+    return server->start(error);
+  }
+
+  /// Backend connections the fleet holds open (0 without a fleet).
+  double backend_connections() const {
+    return router ? router->metrics()
+                        .gauge("netemu_fleet_backend_connections")
+                        .value()
+                  : 0.0;
+  }
+
+  // Destroyed in reverse: the serving front first, backends last.
+  std::vector<std::unique_ptr<QueryExecutor>> executors;
+  std::vector<std::unique_ptr<Server>> backends;
+  std::unique_ptr<FleetRouter> router;
+  std::unique_ptr<FleetFrontDoor> door;
+  std::unique_ptr<Server> server;
+};
+
+StormResult run_storm(bool fleet, std::size_t storm_conns, double hot_seconds,
                       std::size_t hot_workers, std::size_t latency_conns,
                       std::uint64_t latency_requests) {
   StormResult result;
   result.storm_target = storm_conns;
 
-  // A cheap echo compute: the bench measures the serving stack, not the
-  // planner; real query math would drown the I/O plane in compute noise.
-  QueryExecutor::Options exec_options;
-  exec_options.compute = [](const Query& q, const CancelToken&) {
-    Json doc = Json::object();
-    doc["n"] = q.n;
-    return doc;
-  };
-  QueryExecutor executor(std::move(exec_options));
-
-  Server::Options server_options;
-  server_options.port = 0;
-  Server server(executor, server_options);
+  Stack stack;
   std::string error;
-  if (!server.start(&error)) {
+  if (!stack.start(fleet, &error)) {
     std::cerr << "connection_storm: " << error << "\n";
     return result;
   }
+  Server& server = *stack.server;
 
   // Warm the cache so everything after is pure cache hits (served inline
   // on the reactor by the fast path).
@@ -249,7 +311,19 @@ StormResult run_storm(std::size_t storm_conns, double hot_seconds,
   // --- latency: closed-loop probes on the fresh, idle server.  Runs
   // before the storm so the small-fleet percentiles measure the server,
   // not the storm's aftermath.  Best of two reps: a single percentile
-  // sample on a shared box is noise. ---
+  // sample on a shared box is noise.  A sampler records the threads and
+  // backend connections the server side holds while they are in flight.
+  result.threads_idle = thread_count();
+  std::atomic<bool> sampling{true};
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      result.threads_latency_peak =
+          std::max(result.threads_latency_peak, thread_count());
+      result.backend_conns_peak =
+          std::max(result.backend_conns_peak, stack.backend_connections());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   for (int rep = 0; rep < 2; ++rep) {
     std::vector<std::thread> threads;
     std::vector<std::vector<double>> latencies(latency_conns);
@@ -277,6 +351,8 @@ StormResult run_storm(std::size_t storm_conns, double hot_seconds,
       result.p99_us = p99;
     }
   }
+  sampling.store(false);
+  sampler.join();
 
   // --- storm: open and verify N connections, then hold them.  Every
   // server thread (shards, offload pool, executor workers) exists by now,
@@ -359,7 +435,6 @@ StormResult run_storm(std::size_t storm_conns, double hot_seconds,
   }
 
   parked.clear();
-  server.stop();
   return result;
 }
 
@@ -368,6 +443,7 @@ StormResult run_storm(std::size_t storm_conns, double hot_seconds,
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
+  const bool fleet = cli.has("fleet");
 
   // The full-mode default of 40000 sits above the ~32k threads a
   // thread-per-connection server reaches at the default-kernel
@@ -400,6 +476,7 @@ int main(int argc, char** argv) {
   Json doc = Json::object();
   doc["schema"] = "netemu-bench-service/2";
   doc["smoke"] = smoke;
+  doc["fleet"] = fleet;
   doc["connections"] = static_cast<double>(storm_conns);
   // Honest scaling report: when the fd limit shrank the storm, say so in
   // the result document — a reader comparing runs must not mistake a capped
@@ -411,8 +488,18 @@ int main(int argc, char** argv) {
   }
   doc["hot_seconds"] = hot_seconds;
 
-  const StormResult r = run_storm(storm_conns, hot_seconds, hot_workers,
-                                  latency_conns, latency_requests);
+  const StormResult r = run_storm(fleet, storm_conns, hot_seconds,
+                                  hot_workers, latency_conns,
+                                  latency_requests);
+  // Per request in flight during the latency phase: threads the process
+  // added beyond the phase's own clients and the sampler, and (fleet)
+  // backend connections held.
+  const double inflight = static_cast<double>(latency_conns);
+  const double threads_added = static_cast<double>(std::max<long>(
+      0, r.threads_latency_peak - r.threads_idle -
+             static_cast<long>(latency_conns) - 1));
+  const double threads_per_inflight = threads_added / inflight;
+  const double conns_per_inflight = r.backend_conns_peak / inflight;
   doc["storm_target"] = static_cast<double>(r.storm_target);
   doc["storm_open"] = static_cast<double>(r.storm_open);
   doc["storm_s"] = r.storm_s;
@@ -423,6 +510,9 @@ int main(int argc, char** argv) {
   doc["hot_failures"] = static_cast<double>(r.hot_failures);
   doc["p50_us"] = r.p50_us;
   doc["p99_us"] = r.p99_us;
+  doc["inflight"] = inflight;
+  doc["threads_added_per_inflight"] = threads_per_inflight;
+  if (fleet) doc["backend_conns_per_inflight"] = conns_per_inflight;
 
   Table t({"storm open", "storm s", "threads", "hot qps", "fail", "p50 us",
            "p99 us"});
@@ -435,8 +525,16 @@ int main(int argc, char** argv) {
              Table::integer(static_cast<std::int64_t>(r.hot_failures)),
              Table::num(r.p50_us, 1), Table::num(r.p99_us, 1)});
   t.print(std::cout);
+  std::cout << "per request in flight (" << latency_conns
+            << " concurrent): threads added " << threads_per_inflight;
+  if (fleet) {
+    std::cout << ", backend connections " << conns_per_inflight << " (peak "
+              << r.backend_conns_peak << ")";
+  }
+  std::cout << "\n";
 
-  const std::string out_path = cli.get("out", "BENCH_service.json");
+  const std::string out_path = cli.get(
+      "out", fleet ? "BENCH_service_fleet.json" : "BENCH_service.json");
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "connection_storm: cannot write " << out_path << "\n";

@@ -19,6 +19,13 @@
 // in-flight proxied requests up to --drain-ms to land, then exit 0 — the
 // same lifecycle netemu_serve follows (docs/LIFECYCLE.md).  See
 // docs/FLEET.md and docs/SCOPE.md.
+//
+// Threads: the acceptor, the --io-threads reactor shards and the health
+// probe thread, fixed after start.  Every line is answered from the shard
+// that framed it: backend exchanges, hedges, cancels and scatter
+// sub-queries are non-blocking and run on that shard, so there is no
+// handler pool and --offload-threads (accepted for a uniform daemon
+// command line) is ignored.
 
 #include <atomic>
 #include <cerrno>
@@ -119,20 +126,15 @@ int main(int argc, char** argv) {
   server_options.port = static_cast<std::uint16_t>(cli.get_int("port", 7470));
   server_options.io_threads =
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
-  server_options.offload_threads =
-      static_cast<std::size_t>(cli.get_int("offload-threads", 0));
-  // Every line proxies to a backend (blocking network I/O), so everything
-  // rides the offload pool.
   std::atomic<bool> drain_op{false};
   Server server(
-      [&front_door, &drain_op](const std::string& line,
-                               const std::string& peer,
-                               bool* shutdown_requested) {
-        bool drain = false;
-        std::string response =
-            front_door.handle_line(line, shutdown_requested, &drain, peer);
-        if (drain) drain_op.store(true);
-        return response;
+      [&front_door, &drain_op](std::string line, const std::string& peer,
+                               Reactor& reactor, Server::Reply reply) {
+        front_door.handle(reactor, line, peer,
+                          [&drain_op, reply](FleetFrontDoor::Answer answer) {
+                            if (answer.drain) drain_op.store(true);
+                            reply(std::move(answer.line), answer.shutdown);
+                          });
       },
       server_options);
 
@@ -157,24 +159,13 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   if (g_signal_stop.load() || drain_op.load()) {
-    // Graceful drain: no new connections; in-flight proxied requests get up
-    // to the budget to land before the connections are shut down.  The
-    // front door holds no compute, so there is nothing to cancel here —
-    // backends drain on their own schedule.
-    using SteadyClock = std::chrono::steady_clock;
-    const auto started = SteadyClock::now();
-    const auto deadline =
-        started + std::chrono::milliseconds(drain_budget_ms);
-    server.begin_drain();
-    while (router.inflight() > 0 && SteadyClock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    server.stop();
-    std::cerr << "drained in "
-              << std::chrono::duration_cast<std::chrono::milliseconds>(
-                     SteadyClock::now() - started)
-                     .count()
-              << " ms\n";
+    // Graceful drain: no new connections; in-flight races (and trace
+    // fan-outs) get up to the budget to land before the connections are
+    // shut down.  The front door holds no compute, so there is nothing to
+    // cancel here — backends drain on their own schedule.
+    const std::chrono::milliseconds took = drain_front_door(
+        server, router, std::chrono::milliseconds(drain_budget_ms));
+    std::cerr << "drained in " << took.count() << " ms\n";
   } else {
     server.stop();
   }

@@ -14,19 +14,27 @@
 //   trace     -> span merge: the fleet's own spans (site "fleet") plus the
 //                op fanned out to EVERY backend, each backend's spans
 //                annotated with the site that recorded them
-//   queries   -> routed via FleetRouter::request; the response document is
-//                passed through annotated with "served_by" (and "hedged").
+//   queries   -> raced via FleetRouter::race (big estimate sweeps scatter);
+//                the response document is passed through annotated with
+//                "served_by" (and "hedged").
+//
+// handle() runs on the reactor of the Server shard that framed the line
+// and answers when the backends' lines arrive: no thread hand-off, no
+// thread per attempt.  handle_line() is its blocking wrapper.
 //
 // Trace minting: a query carrying "trace":true (boolean) gets a fresh
 // trace id minted here — for clients that want tracing but cannot mint
 // (shell one-liners).  With Options::trace_all every untraced query gets
 // one.  String "trace" ids pass through untouched.
 
-#include <memory>
+#include <chrono>
+#include <functional>
 #include <string>
 
 #include "netemu/fleet/router.hpp"
 #include "netemu/fleet/scatter.hpp"
+#include "netemu/service/reactor.hpp"
+#include "netemu/service/server.hpp"
 #include "netemu/util/json.hpp"
 
 namespace netemu {
@@ -46,13 +54,25 @@ class FleetFrontDoor {
   explicit FleetFrontDoor(FleetRouter& router)
       : FleetFrontDoor(router, Options()) {}
 
-  /// Handle one request line (no trailing newline); returns the response
-  /// line.  The fleet-side twin of handle_request_line().  A drain op sets
-  /// `drain_requested` (when non-null) for the daemon's drain sequence.
-  /// `peer` is the connection's peer tag (Server::LineHandler): a
-  /// query op carrying no "client" field is stamped "peer:<peer>" before
-  /// routing, so backend guards can tell the fleet's callers apart even
-  /// though every backend sees the same front-door source address.
+  /// One answered request line.
+  struct Answer {
+    std::string line;       ///< the response line (no trailing newline)
+    bool shutdown = false;  ///< a shutdown op: stop the server after it
+    bool drain = false;     ///< a drain op: run the daemon's drain sequence
+  };
+
+  /// Handle one request line (no trailing newline) on `reactor`, the
+  /// fleet-side twin of handle_request_line(); `done` runs there once, now
+  /// or when the backends' lines arrive.  `peer` is the connection's peer
+  /// tag (Server::LineHandler): a query op carrying no "client" field is
+  /// stamped "peer:<peer>" before routing, so backend guards can tell the
+  /// fleet's callers apart even though every backend sees the same
+  /// front-door source address.
+  void handle(Reactor& reactor, const std::string& line,
+              const std::string& peer, std::function<void(Answer)> done);
+
+  /// Blocking wrapper of handle() on one of the router's loops; returns the
+  /// response line.  A drain op sets `drain_requested` (when non-null).
   std::string handle_line(const std::string& line, bool* shutdown_requested,
                           bool* drain_requested = nullptr,
                           const std::string& peer = {});
@@ -61,11 +81,24 @@ class FleetFrontDoor {
   Scatterer::Stats scatter_stats() const { return scatterer_.stats(); }
 
  private:
-  std::string handle_trace(const Json& request);
+  /// `drain_honored`: whether a drain op's ack may promise a drain.
+  void dispatch(Reactor& reactor, const std::string& line,
+                const std::string& peer, bool drain_honored,
+                std::function<void(Answer)> done);
+  void handle_trace(Reactor& reactor, const Json& request,
+                    std::function<void(Answer)> done);
+  std::string response_line(FleetRouter::Result r) const;
 
   FleetRouter& router_;
   Options options_;
   Scatterer scatterer_;
 };
+
+/// netemu_fleet's graceful drain (docs/LIFECYCLE.md): close the listener,
+/// give the router's races and fan-outs in flight up to `budget` to land,
+/// then stop the server.  Returns how long it took.
+std::chrono::milliseconds drain_front_door(Server& server,
+                                           const FleetRouter& router,
+                                           std::chrono::milliseconds budget);
 
 }  // namespace netemu

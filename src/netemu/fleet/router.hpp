@@ -1,7 +1,7 @@
 #pragma once
 // FleetRouter: the replicated front door over N netemu_serve backends.
 //
-//   request(doc)
+//   race(doc)
 //     ├─ route: rendezvous-rank the backends on the query's content
 //     │         address — the same key the result caches use, so every
 //     │         backend sees a stable shard of the key space and its cache
@@ -16,20 +16,31 @@
 //     │            op is idempotent (content-addressed results)
 //     └─ hedging (optional): if the primary has not answered by the hedge
 //        deadline (fixed, or a percentile of the router's own
-//        netemu_fleet_request_us histogram), fire the same request at the
-//        next choice and take the first answer — tail latency from one
-//        slow/stalled backend stops being the fleet's tail
+//        netemu_fleet_request_us histogram), a timer fires the same
+//        request at the next choice; the first answer wins and the loser
+//        gets a {"op":"cancel"} verb — tail latency from one slow/stalled
+//        backend stops being the fleet's tail
+//
+// A race is non-blocking: it runs on a Reactor — the Server shard that
+// framed the client's line, or a loop a blocking caller drives — over
+// that reactor's pooled non-blocking backend connections (ExchangePool),
+// and its callback runs there when the backend's line arrives.  Each
+// attempt at one backend is one exchange: client.max_attempts socket
+// attempts with jittered backoff, attempt_timeout_ms and the request's
+// deadline_ms budget, all reactor timers.  The blocking entry points
+// (request, cancel_at) run the same race on a loop of their own and
+// return when it is done; they must not be called from a shard.
 //
 // A background probe thread keeps health fresh: it sends {"op":"health"} to
 // closed backends (liveness) and to half-open ones (recovery probes), so an
 // ejected backend rejoins without waiting for live traffic to test it.
 //
-// Thread-safe: any number of threads may call request() concurrently.  The
-// router keeps a small pool of persistent Client connections per backend.
+// Thread-safe: any number of shards and threads may race concurrently.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,6 +51,8 @@
 #include "netemu/fleet/health.hpp"
 #include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
+#include "netemu/service/query.hpp"
+#include "netemu/service/reactor.hpp"
 #include "netemu/util/json.hpp"
 
 namespace netemu {
@@ -56,9 +69,10 @@ class FleetRouter {
   struct Options {
     std::vector<FleetBackendConfig> backends;
     BackendHealth::Options health;
-    /// Per-attempt client policy.  retry_overloaded is forced off: a shed
-    /// must surface immediately so the router can fail it over instead of
-    /// waiting out the backend's own backoff hint.
+    /// Per-exchange policy: max_attempts socket attempts at one backend,
+    /// their backoff, attempt_timeout_ms.  retry_overloaded is forced
+    /// off: a shed must surface immediately so the router can fail it
+    /// over instead of waiting out the backend's own backoff hint.
     Client::RetryPolicy client;
     /// Probe thread period; 0 disables background probing.
     std::uint64_t probe_interval_ms = 200;
@@ -73,7 +87,8 @@ class FleetRouter {
     std::uint64_t hedge_max_delay_ms = 1000;
     /// Adaptive hedging stays off until this many latency samples exist.
     std::size_t hedge_min_samples = 16;
-    /// Idle persistent connections kept per backend.
+    /// Idle connections kept per backend on each reactor (each Server
+    /// shard and each blocking caller's loop has its own pool).
     std::size_t pool_per_backend = 8;
     /// Overload-aware routing: a backend whose last health probe reported
     /// guard pressure at or above this sinks to the back of its rendezvous
@@ -99,13 +114,21 @@ class FleetRouter {
   FleetRouter(const FleetRouter&) = delete;
   FleetRouter& operator=(const FleetRouter&) = delete;
 
-  /// Route one request document and block for its response.
+  using Done = std::function<void(Result)>;
+
+  /// Race one request document on `reactor`; `done` runs there once with
+  /// the result.  `key` is its route key (route_key()).
   ///
   /// Observability: when the document carries a "trace" field, the whole
   /// residency is recorded as a `fleet.route` span (note: responder + tries)
   /// and any hedge as a `fleet.hedge` span (note: won | lost) in this
   /// process's scope::TraceStore; every breaker transition and hedge
   /// outcome additionally lands in the scope flight recorder.
+  void race(Reactor& reactor, Json request_doc, std::uint64_t key,
+            std::optional<std::size_t> exclude_backend, Done done);
+
+  /// Blocking wrapper of race(): route one request document and wait for
+  /// its response.
   Result request(const Json& request_doc);
 
   /// request(), skipping one backend entirely (the scatterer's straggler
@@ -113,13 +136,23 @@ class FleetRouter {
   Result request(const Json& request_doc,
                  std::optional<std::size_t> exclude_backend);
 
+  /// The route key: a query's content address (the key backends cache
+  /// on), or for other ops (stats, health, ...) a hash of their dump.
+  /// Pass the already-canonicalized query when there is one.
+  static std::uint64_t route_key(const Json& request_doc,
+                                 const std::optional<Query>& query);
+  static std::uint64_t route_key(const Json& request_doc);
+
   /// Rendezvous rank of every backend for this document's content address
   /// (exposed for tests and the `fleet` op).
   std::vector<std::size_t> rank_for(const Json& request_doc) const;
 
-  /// Best-effort detached {"op":"cancel","trace":...} at one backend — the
-  /// scatterer's cancel-on-satisfied, same mechanism as the hedge-loser
-  /// cancel (docs/SCATTER.md).  No-op on an out-of-range index or zero id.
+  /// {"op":"cancel","trace":...} at one backend, sent on `reactor` and
+  /// not waited for — the hedge-loser cancel and the scatterer's
+  /// cancel-on-satisfied (docs/SCATTER.md).  No-op on an out-of-range
+  /// index or zero id.
+  void cancel_at(Reactor& reactor, std::size_t index, std::uint64_t trace_id);
+  /// Blocking wrapper: returns once the verb is written.
   void cancel_at(std::size_t index, std::uint64_t trace_id);
 
   /// Backends currently worth scattering over: circuit breaker closed and
@@ -128,22 +161,31 @@ class FleetRouter {
   /// sunk or ejected backends.
   std::size_t available_backends() const;
 
-  /// Send one document to EVERY backend (ignoring breaker state — this is
-  /// an admin fan-out for `trace`/`stats` merging, not a routed query) and
-  /// collect the responses that arrived.
+  /// Send one document to EVERY backend at once (ignoring breaker state —
+  /// this is an admin fan-out for `trace`/`stats` merging, not a routed
+  /// query) and collect the responses that arrived, in backend order.
   struct BroadcastReply {
     std::size_t backend = 0;
     Json doc;
   };
-  std::vector<BroadcastReply> broadcast(const Json& request_doc);
+  void broadcast(Reactor& reactor, const Json& request_doc,
+                 std::function<void(std::vector<BroadcastReply>)> done);
+
+  /// Run `start(loop, finish)` on a loop this thread drives (one of the
+  /// router's, with its own connection pool), until `finish` has been
+  /// called and every request line started on the loop is written.  The
+  /// blocking entry points are all built on it.
+  void drive(
+      const std::function<void(Reactor& loop, std::function<void()> finish)>&
+          start);
 
   struct BackendStats {
     std::string id;
     std::uint16_t port = 0;
     BackendHealth::State state = BackendHealth::State::kClosed;
     double window_failure_rate = 0.0;
-    std::uint64_t requests = 0;   ///< attempts routed at this backend
-    std::uint64_t responses = 0;  ///< attempts that returned a document
+    std::uint64_t requests = 0;   ///< exchanges started at this backend
+    std::uint64_t responses = 0;  ///< exchanges that returned a document
     std::uint64_t shed = 0;       ///< responses that were overload sheds
     std::uint64_t refused = 0;    ///< connect-refused failures
     std::uint64_t transport_failures = 0;  ///< drops/timeouts (incl. refused)
@@ -156,7 +198,7 @@ class FleetRouter {
   /// Read-only snapshot for the `fleet` op: the router-level counts come
   /// from metrics(), the per-backend ones from the breaker-locked fields.
   struct Stats {
-    std::uint64_t requests = 0;    ///< request() calls
+    std::uint64_t requests = 0;    ///< races started
     std::uint64_t answered = 0;    ///< ... that returned a document
     std::uint64_t unanswered = 0;  ///< ... that exhausted every backend
     std::uint64_t failovers = 0;   ///< extra backends tried beyond the first
@@ -169,12 +211,11 @@ class FleetRouter {
   };
   Stats stats() const;
 
-  /// request() calls currently executing (the fleet daemon's drain polls
-  /// this until in-flight proxied work has landed).
+  /// Races and broadcasts in flight (the fleet daemon's drain polls this
+  /// until in-flight proxied work has landed).
   std::size_t inflight() const;
 
-  /// Stop the probe thread and wait for in-flight hedge attempts; called by
-  /// the destructor.
+  /// Stop the probe thread; called by the destructor.
   void stop();
 
   const Options& options() const { return options_; }
@@ -185,17 +226,9 @@ class FleetRouter {
   scope::Registry& metrics() { return metrics_; }
 
  private:
-  struct Attempt {
-    bool responded = false;  ///< a document arrived
-    bool shed = false;       ///< ... but it was an overload shed
-    Json doc;
-    RequestFailure failure = RequestFailure::kNone;
-    std::string error;
-  };
   struct Backend {
     FleetBackendConfig config;
     BackendHealth health;
-    std::vector<std::unique_ptr<Client>> idle;
     std::uint64_t requests = 0;
     std::uint64_t responses = 0;
     std::uint64_t shed = 0;
@@ -207,13 +240,19 @@ class FleetRouter {
     /// Last breaker state seen by note_breaker_locked (event de-dup).
     BackendHealth::State last_state = BackendHealth::State::kClosed;
   };
-  struct HedgeState;
+  struct Lane;
+  struct Race;
 
   std::uint64_t now_ms() const;
-  std::uint64_t route_key(const Json& request_doc) const;
-  Attempt attempt(std::size_t index, const Json& request_doc);
-  void record_attempt_locked(Backend& b, const Attempt& a, std::uint64_t now,
-                             std::uint64_t trace_id);
+  /// This router's connection pool on `reactor`.
+  Lane& lane(Reactor& reactor);
+  /// One exchange at backend `index` with the breaker bookkeeping around
+  /// it: counted at the start, its outcome recorded at the end.
+  void exchange(Reactor& reactor, std::size_t index, std::string line,
+                std::uint64_t budget_ms, std::uint64_t trace_id,
+                std::function<void(Client::RequestOutcome)> done);
+  void record_attempt_locked(Backend& b, const Client::RequestOutcome& a,
+                             std::uint64_t now, std::uint64_t trace_id);
   /// Emit a flight-recorder kBreaker event if `b`'s breaker state changed
   /// since last observed.  Caller holds mutex_.
   void note_breaker_locked(Backend& b, std::uint64_t now,
@@ -223,11 +262,6 @@ class FleetRouter {
   std::optional<std::size_t> next_allowed(
       const std::vector<std::size_t>& order, std::size_t& pos);
   std::optional<std::uint64_t> hedge_delay_ms() const;
-  void spawn_attempt(std::size_t index, const Json& request_doc,
-                     std::shared_ptr<HedgeState> state);
-  /// Best-effort detached {"op":"cancel","trace":...} at a hedge loser so
-  /// its backend stops computing an answer nobody will read.
-  void fire_cancel(std::size_t index, std::uint64_t trace_id);
   void probe_loop();
 
   // This router's metrics, registered in metrics_ at construction.
@@ -252,6 +286,9 @@ class FleetRouter {
     scope::Counter& breaker_transitions =
         r.counter("netemu_fleet_breaker_transitions_total",
                   "Circuit-breaker state transitions observed by the fleet");
+    scope::Gauge& backend_connections =
+        r.gauge("netemu_fleet_backend_connections",
+                "Backend connections open across the fleet's reactors");
     scope::Histogram& request_us = r.histogram(
         "netemu_fleet_request_us",
         "Wall time of answered, non-shed routed requests (the adaptive hedge "
@@ -266,11 +303,12 @@ class FleetRouter {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Backend>> backends_;
-  std::size_t active_requests_ = 0;  ///< request() calls executing now
+  std::size_t active_ = 0;  ///< races and broadcasts in flight
+  /// Loops of the blocking entry points, idle between calls (each keeps its
+  /// connection pool); as many as there were concurrent callers.
+  std::vector<std::unique_ptr<Reactor>> idle_loops_;
 
   bool stopping_ = false;
-  int inflight_ = 0;  ///< detached attempt threads still running
-  std::condition_variable inflight_cv_;
   std::condition_variable probe_cv_;
   std::thread probe_thread_;
 };

@@ -12,16 +12,17 @@
 //     │         ranges, lo_i = floor(i*T/W); each sub-query is its own
 //     │         content address, so every backend caches its shard and a
 //     │         re-scatter is W cache hits
-//     ├─ dispatch: all W concurrently through FleetRouter::request (each
-//     │            rides the normal rendezvous order, breaker checks,
-//     │            pressure sink, failover), each with its own minted trace
-//     │            id and a per-sub-query deadline
-//     ├─ stragglers: once at least half the sub-queries have landed, any
-//     │              still outstanding past factor x the slowest completed
-//     │              latency is retried at a DIFFERENT backend (hedged —
-//     │              first answer wins); when an answer lands while its twin
-//     │              is still running, the twin's backend gets a cancel verb
-//     │              (cancel-on-satisfied, same mechanism as hedge losers)
+//     ├─ dispatch: all W at once as FleetRouter races on the caller's
+//     │            reactor (each rides the normal rendezvous order,
+//     │            breaker checks, pressure sink, failover), each with its
+//     │            own minted trace id and a per-sub-query deadline
+//     ├─ stragglers: once at least half the sub-queries have landed, a
+//     │              timer at factor x the slowest completed latency
+//     │              retries every one still outstanding at a DIFFERENT
+//     │              backend (hedged — first answer wins); when an answer
+//     │              lands while its twin is still running, the twin's
+//     │              backend gets a cancel verb (cancel-on-satisfied, same
+//     │              mechanism as hedge losers)
 //     └─ merge: trial_rates concatenated in trial-index order; beta_hat /
 //               min / max recomputed exactly as measure_throughput does;
 //               tick totals summed — byte-identical to the single-node
@@ -29,6 +30,7 @@
 //               merge to a "degraded":true partial carrying the completed
 //               ranges; partials are never cached anywhere.
 //
+// Nothing here blocks or spawns: a sweep is callbacks on one reactor.
 // Determinism contract and wire format: docs/SCATTER.md.
 
 #include <cstdint>
@@ -37,6 +39,8 @@
 #include <string>
 
 #include "netemu/fleet/router.hpp"
+#include "netemu/service/query.hpp"
+#include "netemu/service/reactor.hpp"
 #include "netemu/util/json.hpp"
 
 namespace netemu {
@@ -64,20 +68,20 @@ class Scatterer {
   };
 
   Scatterer(FleetRouter& router, Options options);
-  ~Scatterer();
 
   Scatterer(const Scatterer&) = delete;
   Scatterer& operator=(const Scatterer&) = delete;
 
-  /// True when `request` should be scattered: an estimate query with
-  /// trials >= min_trials, no explicit trial range of its own, and at
-  /// least 2 usable ways right now.
-  bool eligible(const Json& request) const;
+  /// True when `query` should be scattered: an estimate with trials >=
+  /// min_trials, no explicit trial range of its own, and at least 2
+  /// usable ways right now.
+  bool eligible(const Query& query) const;
 
-  /// Scatter an eligible request and return the complete response LINE
-  /// (same envelope as a proxied single-backend response).  Call only when
-  /// eligible() said yes; concurrency-safe.
-  std::string scatter_line(const Json& request);
+  /// Scatter an eligible request on `reactor`; `done` runs there once with
+  /// the complete response LINE (same envelope as a proxied single-backend
+  /// response).  `query` is the request, canonicalized.
+  void scatter(Reactor& reactor, const Json& request, const Query& query,
+               std::function<void(std::string line)> done);
 
   /// Read-only snapshot of the netemu_scatter_* counters, which live in
   /// the router's registry: every Scatterer over one router adds to them.
@@ -92,10 +96,7 @@ class Scatterer {
   Stats stats() const;
 
  private:
-  struct ScatterState;
-
-  void spawn_sub(const std::shared_ptr<ScatterState>& state,
-                 std::size_t sub_index, bool is_retry);
+  struct Sweep;
 
   // The netemu_scatter_* metrics, registered in the router's registry.
   struct Meters {
@@ -123,11 +124,6 @@ class Scatterer {
   FleetRouter& router_;
   Options options_;
   const Meters m_;
-
-  std::mutex mutex_;
-  std::condition_variable idle_cv_;
-  std::size_t outstanding_ = 0;  ///< dispatch threads still running
-  bool stopping_ = false;
 };
 
 }  // namespace netemu

@@ -3,21 +3,25 @@
 // Topology: one acceptor thread (blocking accept on the listener, so
 // begin_drain keeps its close-the-listener semantics) hands each new
 // connection — made non-blocking, TCP_NODELAY — to a reactor shard chosen
-// round-robin.  Each shard owns its connections exclusively: an
-// edge-triggered epoll instance, an eventfd for cross-thread wakeups, and
-// an inbox (mutex + vectors) through which the acceptor delivers fds and
-// the offload pool delivers completed responses.  Nothing else ever touches
-// a connection, so per-connection state needs no locks.
+// round-robin.  Each shard owns its connections exclusively: a Reactor
+// (edge-triggered epoll set, timers, end-of-turn work), an eventfd for
+// cross-thread wakeups, and an inbox (mutex + vectors) through which the
+// acceptor delivers fds and the offload pool delivers completed responses.
+// Nothing else ever touches a connection, so per-connection state needs no
+// locks.
 //
 // Data path per connection:
 //   read until EAGAIN -> incremental '\n' framing into a request queue ->
-//   serve queue head: overlong lines answer protocol_error, the executor's
-//   fast path answers inline (ping / cache hits), the rest is offloaded to the
-//   handler pool (at most ONE in flight per connection — the line protocol
-//   promises in-order responses) -> responses append to a coalesced output
-//   buffer flushed until EAGAIN, with EPOLLOUT (edge) re-arming the flush.
-//   A connection whose un-flushed output exceeds max_output_bytes is a slow
-//   consumer and is disconnected (counted) instead of growing the heap.
+//   serve queue head: overlong lines answer protocol_error; over an
+//   executor, the fast path answers inline (ping / cache hits) and the rest
+//   is offloaded to the handler pool; a LineHandler runs on the shard and
+//   replies through the shard's reactor, now or later (at most ONE request
+//   in flight per connection either way — the line protocol promises
+//   in-order responses; its completion carries a per-request generation) ->
+//   responses append to a coalesced output buffer flushed until EAGAIN,
+//   with EPOLLOUT (edge) re-arming the flush.  A connection whose
+//   un-flushed output exceeds max_output_bytes is a slow consumer and is
+//   disconnected (counted) instead of growing the heap.
 //
 // Fault injection (chaos tests) fires on every non-blocking read/write:
 // kDrop closes the connection, a clamped length makes a short read/write,
@@ -46,6 +50,7 @@
 #include "netemu/faultline/injector.hpp"
 #include "netemu/scope/metrics.hpp"
 #include "netemu/service/protocol.hpp"
+#include "netemu/service/reactor.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/thread_pool.hpp"
 
@@ -158,13 +163,14 @@ class Server::EventLoop {
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) {
       auto shard = std::make_unique<Shard>();
-      shard->epoll_fd = ::epoll_create1(0);
+      shard->index = s;
+      shard->reactor = std::make_unique<Reactor>();
       shard->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-      if (shard->epoll_fd < 0 || shard->wake_fd < 0) {
+      if (shard->reactor->fd() < 0 || shard->wake_fd < 0) {
         if (errno_out) *errno_out = errno;
         if (error) {
-          *error = std::string(shard->epoll_fd < 0 ? "epoll_create1"
-                                                   : "eventfd") +
+          *error = std::string(shard->reactor->fd() < 0 ? "epoll_create1"
+                                                        : "eventfd") +
                    ": " + std::strerror(errno);
         }
         shards_.push_back(std::move(shard));  // stop() closes the partial set
@@ -174,7 +180,7 @@ class Server::EventLoop {
       epoll_event ev{};
       ev.events = EPOLLIN;
       ev.data.fd = shard->wake_fd;
-      ::epoll_ctl(shard->epoll_fd, EPOLL_CTL_ADD, shard->wake_fd, &ev);
+      ::epoll_ctl(shard->reactor->fd(), EPOLL_CTL_ADD, shard->wake_fd, &ev);
       // Per-shard loop histogram: a hot or stalled shard (a fault-injected
       // sleep, a burst of fast-path answers) shows up as its own tail.
       shard->loop_us = &scope::Registry::global().histogram(
@@ -184,11 +190,14 @@ class Server::EventLoop {
       shards_.push_back(std::move(shard));
     }
 
-    const std::size_t offload =
-        options_.offload_threads != 0
-            ? options_.offload_threads
-            : std::max<std::size_t>(8, 2 * std::thread::hardware_concurrency());
-    offload_pool_ = std::make_unique<ThreadPool>(offload);
+    if (server_.executor_) {
+      const std::size_t offload =
+          options_.offload_threads != 0
+              ? options_.offload_threads
+              : std::max<std::size_t>(8,
+                                      2 * std::thread::hardware_concurrency());
+      offload_pool_ = std::make_unique<ThreadPool>(offload);
+    }
 
     stopping_.store(false);
     for (auto& shard : shards_) {
@@ -235,8 +244,22 @@ class Server::EventLoop {
       for (const int fd : shard->incoming) ::close(fd);
       shard->incoming.clear();
       if (shard->wake_fd >= 0) ::close(shard->wake_fd);
-      if (shard->epoll_fd >= 0) ::close(shard->epoll_fd);
+      // Last: handlers' state on the shard (backend connections, pending
+      // replies) goes with its reactor.
+      shard->reactor.reset();
     }
+  }
+
+  /// Server::Reply's delivery: on the connection's shard, at the end of
+  /// the current turn (a handler may reply from inside its own call).
+  void post_reply(std::size_t shard_index, int fd, std::uint64_t gen,
+                  std::string response, bool shutdown) {
+    Shard& shard = *shards_[shard_index];
+    shard.reactor->post(
+        [this, &shard, done = Completion{fd, gen, std::move(response),
+                                         shutdown}]() mutable {
+          on_completion(shard, done);
+        });
   }
 
  private:
@@ -248,13 +271,15 @@ class Server::EventLoop {
   };
 
   struct Conn {
-    std::uint64_t gen = 0;  ///< guards completions against fd reuse
     std::string peer;       ///< "ip:port" tag (guard client identity)
     std::string in;         ///< unparsed input tail
     bool discarding = false;  ///< inside an overlong line, pre-newline
     std::deque<PendingRequest> requests;
-    bool offload_in_flight = false;
-    SteadyClock::time_point offload_framed_at;
+    /// Generation of the request the handler is answering (0: none).  A
+    /// completion lands only if it carries this generation, which guards
+    /// against fd reuse and a second reply alike.
+    std::uint64_t in_flight = 0;
+    SteadyClock::time_point in_flight_framed_at;
     std::string out;            ///< coalesced responses
     std::size_t out_pos = 0;    ///< flushed prefix of `out`
     bool read_closed = false;   ///< peer half-closed (EOF seen)
@@ -270,7 +295,8 @@ class Server::EventLoop {
   };
 
   struct Shard {
-    int epoll_fd = -1;
+    std::size_t index = 0;
+    std::unique_ptr<Reactor> reactor;
     int wake_fd = -1;
     std::thread thread;
     scope::Histogram* loop_us = nullptr;
@@ -286,7 +312,7 @@ class Server::EventLoop {
     // Owned by the shard thread only (no locks): fd -> connection.
     // unique_ptr keeps Conn* stable across rehashes.
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
-    std::uint64_t next_gen = 1;
+    std::uint64_t next_gen = 1;  ///< request generations, shard-unique
   };
 
   void wake(Shard& shard) {
@@ -337,8 +363,10 @@ class Server::EventLoop {
   void shard_loop(Shard& shard) {
     constexpr int kMaxEvents = 128;
     epoll_event events[kMaxEvents];
+    Reactor& reactor = *shard.reactor;
     while (!stopping_.load()) {
-      const int n = ::epoll_wait(shard.epoll_fd, events, kMaxEvents, -1);
+      const int n = ::epoll_wait(reactor.fd(), events, kMaxEvents,
+                                 reactor.wait_timeout_ms(-1));
       if (n < 0) {
         if (errno == EINTR) continue;
         return;  // epoll fd gone: shutting down
@@ -349,7 +377,9 @@ class Server::EventLoop {
       // frees its fd, and a new accept may reuse the number — registering
       // newcomers after all socket events keeps stale events from aliasing
       // onto them (completions are additionally generation-checked).
+      // Handlers' own fds (backend connections) go to the reactor.
       for (int i = 0; i < n; ++i) {
+        if (reactor.dispatch(events[i])) continue;
         if (events[i].data.fd == shard.wake_fd) {
           woken = true;
           continue;
@@ -357,6 +387,8 @@ class Server::EventLoop {
         on_socket_event(shard, events[i].data.fd, events[i].events);
       }
       if (woken) drain_inbox(shard);
+      // Due timers, then deferred work — handlers' replies among it.
+      reactor.run_due();
       shard.loop_us->observe(micros_since(t0));
     }
   }
@@ -382,7 +414,6 @@ class Server::EventLoop {
 
   void register_conn(Shard& shard, int fd) {
     auto conn = std::make_unique<Conn>();
-    conn->gen = shard.next_gen++;
     conn->peer = peer_tag(fd);
     Conn* c = conn.get();
     shard.conns.emplace(fd, std::move(conn));
@@ -392,7 +423,7 @@ class Server::EventLoop {
     // flush stopped on EAGAIN needs re-arming; no EPOLL_CTL_MOD per write.
     ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
     ev.data.fd = fd;
-    if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    if (::epoll_ctl(shard.reactor->fd(), EPOLL_CTL_ADD, fd, &ev) < 0) {
       shard.conns.erase(fd);
       ::close(fd);
       return;
@@ -408,7 +439,8 @@ class Server::EventLoop {
     if (it == shard.conns.end()) return;  // closed earlier in this batch
     Conn& conn = *it->second;
     if (ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) {
-      if (!on_readable(shard, fd, conn)) return;  // connection closed
+      const bool hangup = (ev & (EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0;
+      if (!on_readable(shard, fd, conn, hangup)) return;  // closed
     }
     if (ev & EPOLLOUT) {
       if (!try_flush(shard, fd, conn)) return;
@@ -417,8 +449,9 @@ class Server::EventLoop {
   }
 
   /// Read until EAGAIN, frame complete lines, serve what can be served.
-  /// False when the connection was closed.
-  bool on_readable(Shard& shard, int fd, Conn& conn) {
+  /// `hangup`: the event reported the peer's close.  False when the
+  /// connection was closed.
+  bool on_readable(Shard& shard, int fd, Conn& conn, bool hangup = false) {
     char chunk[16384];
     for (;;) {
       std::size_t want = sizeof(chunk);
@@ -441,7 +474,10 @@ class Server::EventLoop {
         break;
       }
       conn.in.append(chunk, static_cast<std::size_t>(got));
-      if (static_cast<std::size_t>(got) < want) break;  // short read: drained
+      // A short read drained the socket — unless the same edge reported
+      // the peer's close: then read on to the EOF, because no later edge
+      // will report it and the half-closed connection would never close.
+      if (static_cast<std::size_t>(got) < want && !hangup) break;
     }
     frame_lines(conn);
     if (conn.read_closed) {
@@ -490,15 +526,15 @@ class Server::EventLoop {
     }
   }
 
-  /// Serve queued requests in order.  Stops at the first request that needs
-  /// the offload pool (one in flight per connection keeps responses
-  /// ordered).  False when the connection was closed.
+  /// Serve queued requests in order.  Stops at the first request handed to
+  /// the handler (one in flight per connection keeps responses ordered).
+  /// False when the connection was closed.
   bool process_requests(Shard& shard, int fd, Conn& conn) {
     // Flush threshold inside a pipelined burst: keeps a long run of inline
     // answers from accumulating into one giant buffer (and from tripping
     // the slow-consumer cap when the peer is in fact keeping up).
     constexpr std::size_t kFlushChunk = 256u << 10;
-    while (!conn.offload_in_flight && !conn.requests.empty()) {
+    while (conn.in_flight == 0 && !conn.requests.empty()) {
       if (conn.out.size() - conn.out_pos >= kFlushChunk) {
         if (!try_flush(shard, fd, conn)) return false;
         if (conn.out.size() - conn.out_pos > options_.max_output_bytes) {
@@ -518,9 +554,9 @@ class Server::EventLoop {
         conn.requests.pop_front();
         continue;
       }
-      if (server_.fast_executor_) {
-        if (auto fast = try_handle_request_line_fast(
-                req.line, *server_.fast_executor_)) {
+      if (server_.executor_) {
+        if (auto fast =
+                try_handle_request_line_fast(req.line, *server_.executor_)) {
           if (!enqueue_response(shard, fd, conn, std::move(*fast),
                                 req.framed_at)) {
             return false;
@@ -529,22 +565,31 @@ class Server::EventLoop {
           continue;
         }
       }
-      conn.offload_in_flight = true;
-      conn.offload_framed_at = req.framed_at;
+      const std::uint64_t gen = shard.next_gen++;
+      conn.in_flight = gen;
+      conn.in_flight_framed_at = req.framed_at;
       std::string line = std::move(req.line);
       conn.requests.pop_front();
+      if (server_.handler_) {
+        server_.handler_(std::move(line), conn.peer, *shard.reactor,
+                         Reply(this, shard.index, fd, gen));
+        break;  // the reply lands at the end of a turn
+      }
       Shard* shard_ptr = &shard;
-      const std::uint64_t gen = conn.gen;
+      QueryExecutor* executor = server_.executor_;
       // Peer copied by value: the connection may be closed (and its Conn
       // destroyed) while the handler runs on the offload pool.
       const bool accepted = offload_pool_->submit(
-          [this, shard_ptr, fd, gen, line = std::move(line),
+          [this, shard_ptr, fd, gen, executor, line = std::move(line),
            peer = conn.peer] {
             bool shutdown = false;
             Completion done;
             done.fd = fd;
             done.gen = gen;
-            done.response = server_.handler_(line, peer, &shutdown);
+            // Stamp the connection peer as the default client identity so
+            // the guard's per-client fairness works without cooperation.
+            done.response = handle_request_line(line, *executor, &shutdown,
+                                                "peer:" + peer);
             done.shutdown = shutdown;
             {
               std::lock_guard lock(shard_ptr->inbox_mutex);
@@ -564,11 +609,11 @@ class Server::EventLoop {
 
   void on_completion(Shard& shard, Completion& done) {
     const auto it = shard.conns.find(done.fd);
-    if (it == shard.conns.end() || it->second->gen != done.gen) {
+    if (it == shard.conns.end() || it->second->in_flight != done.gen) {
       return;  // connection closed (or fd reused) while the handler ran
     }
     Conn& conn = *it->second;
-    conn.offload_in_flight = false;
+    conn.in_flight = 0;
     if (done.shutdown) {
       // Deliver the shutdown ack, then close the connection and stop the
       // server.
@@ -576,7 +621,7 @@ class Server::EventLoop {
       conn.close_after_flush = true;
     }
     if (!enqueue_response(shard, done.fd, conn, std::move(done.response),
-                          conn.offload_framed_at)) {
+                          conn.in_flight_framed_at)) {
       return;
     }
     if (!process_requests(shard, done.fd, conn)) return;
@@ -633,7 +678,7 @@ class Server::EventLoop {
   /// buffer is empty.  False when the connection was closed.
   bool finish_if_done(Shard& shard, int fd, Conn& conn) {
     if (conn.out_pos < conn.out.size()) return true;  // still flushing
-    if (conn.offload_in_flight || !conn.requests.empty()) return true;
+    if (conn.in_flight != 0 || !conn.requests.empty()) return true;
     if (conn.shutdown_after_flush) {
       conn.shutdown_after_flush = false;
       close_conn(shard, fd);
@@ -668,20 +713,16 @@ class Server::EventLoop {
 Server::Server(QueryExecutor& executor) : Server(executor, Options()) {}
 
 Server::Server(QueryExecutor& executor, Options options)
-    : handler_([&executor](const std::string& line, const std::string& peer,
-                           bool* shutdown_requested) {
-        // Stamp the connection peer as the default client identity so the
-        // guard's per-client fairness works without cooperation.
-        return handle_request_line(line, executor, shutdown_requested,
-                                   "peer:" + peer);
-      }),
-      fast_executor_(&executor),
-      options_(std::move(options)) {}
+    : executor_(&executor), options_(std::move(options)) {}
 
 Server::Server(LineHandler handler, Options options)
     : handler_(std::move(handler)), options_(std::move(options)) {}
 
 Server::~Server() { stop(); }
+
+void Server::Reply::operator()(std::string response, bool shutdown) const {
+  loop_->post_reply(shard_, fd_, gen_, std::move(response), shutdown);
+}
 
 bool Server::start(std::string* error) {
   last_errno_ = 0;

@@ -355,7 +355,9 @@ TEST(ClientBudget, RetriesDrawFromOneDeadlineBudget) {
   Server::Options so;
   so.port = 0;
   Server garbage(
-      [](const std::string&, const std::string&, bool*) { return "not json"; },
+      [](std::string, const std::string&, Reactor&, Server::Reply reply) {
+        reply("not json");
+      },
       so);
   std::string error;
   ASSERT_TRUE(garbage.start(&error)) << error;

@@ -115,7 +115,7 @@ std::string reference_result(const Json& q) {
 }
 
 /// The sub-ranges a W-way scatter of `trials` produces (must mirror
-/// Scatterer::scatter_line's split).
+/// Scatterer::scatter's split).
 std::vector<std::pair<unsigned, unsigned>> split(unsigned trials, unsigned w) {
   std::vector<std::pair<unsigned, unsigned>> out;
   for (unsigned i = 0; i < w; ++i) {

@@ -8,6 +8,7 @@
 #include <netinet/in.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -828,7 +829,12 @@ class RawConn {
         0) {
       ::close(fd_);
       fd_ = -1;
+      return;
     }
+    // A receive deadline: an answer the server lost fails the test (the
+    // read comes back empty) instead of hanging it.
+    const timeval deadline{10, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
   }
   ~RawConn() {
     if (fd_ >= 0) ::close(fd_);
@@ -850,7 +856,8 @@ class RawConn {
   /// Stop sending but keep reading (half-close).
   void shutdown_write() { ::shutdown(fd_, SHUT_WR); }
 
-  /// Read up to the next '\n'; empty string on EOF/error before one.
+  /// Read up to the next '\n'; empty string on EOF, error or the receive
+  /// deadline before one.
   std::string read_line() {
     std::string line;
     for (;;) {
