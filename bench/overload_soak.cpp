@@ -1,6 +1,6 @@
 // overload_soak: overload-guard acceptance (docs/GUARD.md).  For each seed
-// it starts ONE real netemu_serve backend with the guard enabled and a
-// deliberately small admission budget, then storms it with a heterogeneous
+// it starts ONE real netemu_serve backend with a deliberately small guard
+// admission budget, then storms it with a heterogeneous
 // client mix (netemu/faultline/client_mix.hpp) at several times its
 // capacity:
 //
@@ -91,7 +91,6 @@ bool start_backend(ManagedProcess& proc, const std::string& serve_bin,
   // budget so two greedy identities cannot monopolize admission.
   bench::ServeSpawn spawn;
   spawn.extra_args = {
-      "--guard",
       "--guard-budget", "12",
       "--guard-share", "0.2",
       "--guard-target-p95-ms", "100",

@@ -21,13 +21,6 @@
 // each quantum boundary) vs an armed-but-never-firing one (the full
 // deadline-latch check).  Both must stay within the 2% gate.
 //
-// A fourth A/B gates the overload guard (docs/GUARD.md): the same
-// request stack driven through a guard-enabled executor vs a guard-less
-// one, on refresh queries so every request walks the admission path
-// (cost model, token bucket, fair scheduler, AIMD bookkeeping) instead
-// of short-circuiting at the cache.  An uncontended guard must be free
-// enough to leave on.
-//
 // Methodology: R PAIRED rounds — each pair runs both arms back-to-back
 // (order alternating per pair, so drift cancels) and yields one
 // enabled/disabled ratio; the statistic is the MEDIAN of the pair ratios.
@@ -135,17 +128,13 @@ struct ExecWorkload {
   std::string line;
   bool up = false;
 
-  ExecWorkload() : ExecWorkload(false) {}
-
-  explicit ExecWorkload(bool guard_on)
-      : executor(make_options(guard_on)), server(executor, server_options()) {
+  ExecWorkload()
+      : executor(make_options()), server(executor, server_options()) {
     Query q;
     q.kind = QueryKind::kBandwidth;
     q.family = Family::kButterfly;
     q.n = 1024.0;
     line = query_to_json(q).dump();
-    q.refresh = true;  // forces the full admission + compute path
-    refresh_line = query_to_json(q).dump();
     std::string error;
     if (!server.start(&error) || !client.connect(server.port(), &error)) {
       std::fprintf(stderr, "scope_overhead: %s\n", error.c_str());
@@ -163,7 +152,7 @@ struct ExecWorkload {
 
   ~ExecWorkload() { server.stop(); }
 
-  static QueryExecutor::Options make_options(bool guard_on) {
+  static QueryExecutor::Options make_options() {
     QueryExecutor::Options o;
     o.threads = 2;
     o.cache_file.clear();  // memory-only: no disk noise in the loop
@@ -172,9 +161,6 @@ struct ExecWorkload {
       j["v"] = 1.0;
       return j;
     };
-    // Guard arm: defaults (auto budget, no rate limit) — an uncontended
-    // serial client must never be shed or browned out here.
-    o.guard.enabled = guard_on;
     return o;
   }
 
@@ -196,23 +182,6 @@ struct ExecWorkload {
     }
     return process_cpu_s() - t0;
   }
-
-  /// Like round(), but on refresh queries: every request registers a
-  /// flight, passes admission (the guard, when enabled), and computes.
-  double round_refresh(int iters) {
-    std::string response;
-    const double t0 = process_cpu_s();
-    for (int i = 0; i < iters; ++i) {
-      if (!client.request_raw(refresh_line, response) ||
-          response.find("\"ok\":true") == std::string::npos) {
-        std::fprintf(stderr, "scope_overhead: refresh failed mid-round\n");
-        return 1e300;  // poison the round, never the min
-      }
-    }
-    return process_cpu_s() - t0;
-  }
-
-  std::string refresh_line;
 };
 
 // ---------------------------------------------------------------------------
@@ -287,13 +256,10 @@ int main(int argc, char** argv) {
 
   SimWorkload sim(smoke ? 12u : 24u, 8);
   ExecWorkload exec;
-  ExecWorkload guard_on(true), guard_off(false);
-  if (!exec.up || !guard_on.up || !guard_off.up) return 2;
+  if (!exec.up) return 2;
   // Untimed warmup round per workload: page in code + data.
   (void)sim.round(smoke ? 10 : 2);
   (void)exec.round(500);
-  (void)guard_on.round_refresh(200);
-  (void)guard_off.round_refresh(200);
 
   // A failing first reading is usually a burst of machine noise, not real
   // overhead: escalate by pooling more pairs (up to 3 batches) — noise
@@ -332,17 +298,6 @@ int main(int argc, char** argv) {
         [&] { return sim.round(sim_reps, current); });
   });
 
-  // Guard arm pair: the same refresh workload against a guard-enabled
-  // executor vs a guard-less one.  "Enabled" here means the guard config,
-  // not the scope kill switch.
-  ExecWorkload* guard_arm = &guard_off;
-  const int guard_iters = exec_iters / 2;  // refresh rounds compute per hit
-  const ArmResult guard_r = measure_by([&] {
-    return ab_pairs_with(
-        rounds, [&](bool on) { guard_arm = on ? &guard_on : &guard_off; },
-        [&] { return guard_arm->round_refresh(guard_iters); });
-  });
-
   Table table({"workload", "off ms", "on ms", "overhead", "gate"});
   int failures = 0;
   const auto row = [&](const char* name, const ArmResult& r) {
@@ -356,7 +311,6 @@ int main(int argc, char** argv) {
   row("run_batch (micro_sim)", sim_r);
   row("cache_hit (socket)", exec_r);
   row("run_batch cancel token", cancel_r);
-  row("refresh overload guard", guard_r);
   table.print(std::cout);
 
   if (failures != 0) {
@@ -365,8 +319,8 @@ int main(int argc, char** argv) {
                 kGatePercent, failures);
     return 1;
   }
-  std::printf("\nPASS: scope recording, cancel-check, and guard admission "
-              "sites cost <= %.1f%% on every hot path\n",
+  std::printf("\nPASS: scope recording and cancel-check sites cost <= "
+              "%.1f%% on every hot path\n",
               kGatePercent);
   return 0;
 }

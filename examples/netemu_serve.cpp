@@ -7,7 +7,7 @@
 //   $ netemu_serve --fault-plan 'seed=7,drop=0.02,torn=0.3'   # chaos mode
 //   $ netemu_serve --no-journal        # skip the crash-recovery WAL
 //   $ netemu_serve --io-threads 4      # reactor shards (0 = hw threads)
-//   $ netemu_serve --guard             # overload guard (docs/GUARD.md)
+//   $ netemu_serve --guard-budget 512  # admission cost budget (docs/GUARD.md)
 //
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
 // Signals and the drain op run the graceful drain (docs/LIFECYCLE.md): stop
@@ -91,11 +91,9 @@ int main(int argc, char** argv) {
   exec_options.retry_after_hint_ms =
       static_cast<std::uint64_t>(cli.get_int("retry-after-ms", 50));
 
-  // Overload guard (docs/GUARD.md): cost-model admission, per-client fair
-  // share + rate limits, AIMD concurrency adaptation, brownout degradation.
-  // Off by default — the guard changes shed behaviour under pressure, so
-  // opting in is explicit.
-  exec_options.guard.enabled = cli.has("guard");
+  // The admission gate (docs/GUARD.md), always on: the --queue count cap,
+  // cost-model admission, per-client fair share + rate limits, AIMD
+  // concurrency adaptation, brownout degradation.
   exec_options.guard.cost_budget =
       static_cast<std::uint64_t>(cli.get_int("guard-budget", 0));
   exec_options.guard.rate_units_per_s =

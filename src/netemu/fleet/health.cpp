@@ -85,6 +85,10 @@ void BackendHealth::record_failure(std::uint64_t now_ms) {
   }
 }
 
+void BackendHealth::release(std::uint64_t now_ms) {
+  if (state(now_ms) == State::kHalfOpen) probe_inflight_ = false;
+}
+
 void BackendHealth::record_window(bool failure) {
   if (options_.window == 0) return;
   if (window_.size() < options_.window) {

@@ -63,6 +63,11 @@ class BackendHealth {
   /// A transport-level failure (refused, dropped, timed out).
   void record_failure(std::uint64_t now_ms);
 
+  /// An attempt ended without a verdict on the backend (the request's own
+  /// deadline ran out): nothing is counted, but a half-open probe slot is
+  /// freed for the next request or probe.
+  void release(std::uint64_t now_ms);
+
   int consecutive_failures() const { return consecutive_failures_; }
   /// Transitions into kOpen (initial ejections + half-open re-openings).
   std::uint64_t ejections() const { return ejections_; }

@@ -238,6 +238,11 @@ void FleetRouter::record_attempt_locked(Backend& b,
     // Any document — even a shed or a server-side error — proves the
     // transport and the process are alive.
     b.health.record_success(now);
+  } else if (a.failure == RequestFailure::kDeadline) {
+    // The request's own deadline ran out: the caller gets the deadline
+    // error, the backend is neither credited nor blamed, and a half-open
+    // probe slot the attempt held goes back to the next request or probe.
+    b.health.release(now);
   } else {
     ++b.transport_failures;
     if (a.failure == RequestFailure::kConnectRefused) ++b.refused;
@@ -658,9 +663,9 @@ void FleetRouter::probe_loop() {
     }
     for (std::size_t i : targets) ++backends_[i]->probes;
     lock.unlock();
-    // Health answers double as pressure reports: the backend's guard (or,
-    // guardless, its queue fullness) rides in result.pressure and feeds the
-    // router's prefer-lower-pressure ordering.  Every target at once.
+    // Health answers double as pressure reports: the backend's admission
+    // pressure rides in result.pressure and feeds the router's
+    // prefer-lower-pressure ordering.  Every target at once.
     std::vector<std::pair<std::size_t, double>> pressures;
     std::size_t pending = targets.size();
     drive([&](Reactor& loop, std::function<void()> finish) {

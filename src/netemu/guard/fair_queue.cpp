@@ -35,7 +35,9 @@ bool FairScheduler::submit(const std::string& client, std::uint64_t cost,
       ++running_;
       fast = true;
     } else {
-      ClientQueue& q = clients_[client];
+      const auto [it, fresh] = clients_.try_emplace(client);
+      if (fresh) ring_.push_back(client);
+      ClientQueue& q = it->second;
       q.weight = std::max(0.1, weight);
       Task t;
       t.sched_cost =
@@ -45,10 +47,6 @@ bool FairScheduler::submit(const std::string& client, std::uint64_t cost,
       t.shed = std::move(shed);
       q.tasks.push_back(std::move(t));
       ++queued_;
-      if (!q.active) {
-        q.active = true;
-        ring_.push_back(client);
-      }
       pump_locked(ready);
     }
   }
@@ -65,25 +63,16 @@ bool FairScheduler::submit(const std::string& client, std::uint64_t cost,
 }
 
 void FairScheduler::pump_locked(std::vector<Task>& out) {
-  // Deficit round robin over the active ring: each visit earns the client
-  // quantum x weight; it dispatches from its FIFO while the head task fits
-  // the deficit.  A drained client leaves the ring (and forfeits its
-  // deficit, so idleness is not bankable).
+  // Deficit round robin over the ring of clients with queued tasks: each
+  // visit earns the client quantum x weight; it dispatches from its FIFO
+  // while the head task fits the deficit.  A drained client leaves the ring
+  // and the map (forfeiting its deficit, so idleness is not bankable, and
+  // costing nothing once gone — client ids are per-connection tags).
   // running_ is bumped as each task moves to `out`, so it alone tracks the
   // claimed slots.
-  while (running_ < options_.max_concurrent && queued_ > 0) {
-    if (ring_.empty()) break;
+  while (running_ < options_.max_concurrent && !ring_.empty()) {
     if (ring_pos_ >= ring_.size()) ring_pos_ = 0;
-    const std::string name = ring_[ring_pos_];
-    auto it = clients_.find(name);
-    if (it == clients_.end() || it->second.tasks.empty()) {
-      if (it != clients_.end()) {
-        it->second.active = false;
-        it->second.deficit = 0.0;
-      }
-      ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_pos_));
-      continue;  // same position now holds the next client
-    }
+    const auto it = clients_.find(ring_[ring_pos_]);
     ClientQueue& q = it->second;
     q.deficit += static_cast<double>(options_.quantum) * q.weight;
     while (!q.tasks.empty() &&
@@ -97,8 +86,7 @@ void FairScheduler::pump_locked(std::vector<Task>& out) {
       out.push_back(std::move(t));
     }
     if (q.tasks.empty()) {
-      q.active = false;
-      q.deficit = 0.0;
+      clients_.erase(it);
       ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_pos_));
     } else {
       ++ring_pos_;
@@ -138,10 +126,8 @@ std::size_t FairScheduler::shed_queued() {
     std::lock_guard lock(mutex_);
     for (auto& [name, q] : clients_) {
       for (auto& t : q.tasks) sheds.push_back(std::move(t.shed));
-      q.tasks.clear();
-      q.deficit = 0.0;
-      q.active = false;
     }
+    clients_.clear();
     ring_.clear();
     ring_pos_ = 0;
     queued_ = 0;
@@ -160,6 +146,11 @@ std::size_t FairScheduler::queued() const {
 std::size_t FairScheduler::running() const {
   std::lock_guard lock(mutex_);
   return running_;
+}
+
+std::size_t FairScheduler::clients_tracked() const {
+  std::lock_guard lock(mutex_);
+  return clients_.size();
 }
 
 }  // namespace netemu::guard

@@ -48,6 +48,8 @@ class FairScheduler {
 
   std::size_t queued() const;
   std::size_t running() const;
+  /// Clients with queued tasks: a client's queue is erased when it drains.
+  std::size_t clients_tracked() const;
 
  private:
   struct Task {
@@ -55,11 +57,11 @@ class FairScheduler {
     std::function<void()> run;
     std::function<void()> shed;
   };
+  /// Exists while it has queued tasks, and is then a member of ring_.
   struct ClientQueue {
     std::deque<Task> tasks;
     double deficit = 0.0;
     double weight = 1.0;
-    bool active = false;  ///< member of ring_
   };
 
   void pump_locked(std::vector<Task>& out);
@@ -71,7 +73,7 @@ class FairScheduler {
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, ClientQueue> clients_;
-  std::vector<std::string> ring_;  ///< active clients, round-robin order
+  std::vector<std::string> ring_;  ///< clients_' keys, round-robin order
   std::size_t ring_pos_ = 0;
   std::size_t queued_ = 0;
   std::size_t running_ = 0;

@@ -5,6 +5,18 @@
 
 namespace netemu::guard {
 
+namespace {
+// The guard's fixed dials (docs/GUARD.md, "Constants").
+constexpr double kBurstSeconds = 2.0;       ///< bucket depth, s of refill
+constexpr double kDecreaseFactor = 0.7;     ///< AIMD multiplicative decrease
+constexpr double kIncreaseFraction = 0.05;  ///< AIMD additive step, x budget
+constexpr double kLimitFloor = 0.125;       ///< x cost_budget
+constexpr double kLimitCeiling = 2.0;       ///< x cost_budget
+constexpr double kBrownoutPressure = 0.75;  ///< cost pressure that browns out
+constexpr double kBrownoutKeep = 0.25;      ///< fraction of trials kept
+constexpr unsigned kBrownoutMinTrials = 1;  ///< fewest trials kept
+}  // namespace
+
 void DrainRate::note(double busy_ms, std::uint64_t cost,
                      std::size_t workers) {
   if (busy_ms < 0.0 || cost == 0) return;
@@ -30,19 +42,18 @@ std::uint64_t DrainRate::hint_ms(double backlog_units,
   return static_cast<std::uint64_t>(std::clamp(raw, lo, 10000.0));
 }
 
-Guard::Guard(Options options, scope::Registry& metrics)
+Guard::Guard(Options options, scope::Registry& metrics,
+             std::size_t max_flights, std::size_t workers,
+             std::uint64_t retry_after_ms)
     : options_(std::move(options)),
+      max_flights_(max_flights),
+      workers_(workers),
+      retry_after_ms_(retry_after_ms),
+      burst_units_(kBurstSeconds * options_.rate_units_per_s),
       m_{metrics},
       started_(std::chrono::steady_clock::now()) {
   if (options_.cost_budget == 0) options_.cost_budget = 512;
-  if (options_.rate_units_per_s > 0.0 && options_.rate_burst_units <= 0.0) {
-    options_.rate_burst_units = 2.0 * options_.rate_units_per_s;
-  }
   options_.client_share = std::clamp(options_.client_share, 0.01, 1.0);
-  options_.brownout_keep = std::clamp(options_.brownout_keep, 0.01, 1.0);
-  options_.limit_floor = std::max(1e-3, options_.limit_floor);
-  options_.limit_ceiling =
-      std::max(options_.limit_floor, options_.limit_ceiling);
   limit_ = static_cast<double>(options_.cost_budget);
   m_.limit.set(limit_);
 }
@@ -59,7 +70,7 @@ void Guard::refill_locked(ClientState& c, std::uint64_t now) const {
   if (options_.rate_units_per_s <= 0.0) return;
   const double elapsed_s =
       static_cast<double>(now - c.last_refill_ms) / 1000.0;
-  c.tokens = std::min(options_.rate_burst_units,
+  c.tokens = std::min(burst_units_,
                       c.tokens + elapsed_s * options_.rate_units_per_s);
   c.last_refill_ms = now;
 }
@@ -70,7 +81,7 @@ Guard::ClientState& Guard::client_state_locked(const std::string& client,
   if (it == clients_.end()) {
     if (clients_.size() >= options_.max_clients) evict_idle_locked(now);
     ClientState fresh;
-    fresh.tokens = options_.rate_burst_units;  // strangers start with credit
+    fresh.tokens = burst_units_;  // strangers start with credit
     fresh.last_refill_ms = now;
     it = clients_.emplace(client, fresh).first;
   }
@@ -118,17 +129,13 @@ void Guard::maybe_adjust_locked(std::uint64_t now) {
   if (delta.count < options_.adjust_min_samples) return;  // thin window
 
   const double p95_ms = delta.quantile(0.95) / 1000.0;  // hist is in us
-  const double floor =
-      options_.limit_floor * static_cast<double>(options_.cost_budget);
-  const double ceiling =
-      options_.limit_ceiling * static_cast<double>(options_.cost_budget);
+  const double budget = static_cast<double>(options_.cost_budget);
   if (p95_ms > options_.target_p95_ms) {
-    limit_ = std::max(floor, limit_ * options_.decrease_factor);
+    limit_ = std::max(kLimitFloor * budget, limit_ * kDecreaseFactor);
     m_.limit_decreases.inc();
   } else {
-    limit_ = std::min(
-        ceiling, limit_ + options_.increase_fraction *
-                              static_cast<double>(options_.cost_budget));
+    limit_ = std::min(kLimitCeiling * budget,
+                      limit_ + kIncreaseFraction * budget);
     m_.limit_increases.inc();
   }
   m_.limit.set(limit_);
@@ -138,11 +145,24 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
                              std::uint64_t cost) {
   Decision d;
   std::lock_guard lock(mutex_);
+  const auto shed = [&](const char* reason) {
+    d.admit = false;
+    d.reason = reason;
+    // Every shed but a rate limit's: how long the admitted cost takes to
+    // drain.
+    d.retry_after_ms = drain_.hint_ms(static_cast<double>(pending_cost_),
+                                      retry_after_ms_);
+    return d;
+  };
+
+  // The count cap first: queued plus running flights, whatever they cost.
+  if (flights_ >= max_flights_) return shed("admission queue full");
+
   const std::uint64_t now = now_ms();
   ClientState& c = client_state_locked(client, now);
   refill_locked(c, now);
 
-  // Rate limit first: it holds even on an idle executor (an idle server is
+  // Rate limit next: it holds even on an idle executor (an idle server is
   // exactly when a greedy client could otherwise burn the whole budget).
   if (options_.rate_units_per_s > 0.0 && c.tokens < 1.0) {
     m_.shed_rate.inc();
@@ -159,79 +179,94 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   // biggest legal estimate must stay servable when nothing competes), and a
   // client's first in-flight query is never share-blocked for the same
   // reason.
-  if (pending_cost_ > 0 &&
-      static_cast<double>(pending_cost_ + cost) > limit_) {
+  const bool others_pending = pending_cost_ > 0;
+  if (others_pending && static_cast<double>(pending_cost_ + cost) > limit_) {
     m_.shed_backlog.inc();
-    d.admit = false;
-    d.reason = "cost budget full";
-    return d;  // retry hint: executor's drain-rate estimate
+    return shed("cost budget full");
   }
   const double share_cap = options_.client_share * limit_;
   if (c.in_flight_cost > 0 &&
       static_cast<double>(c.in_flight_cost + cost) > share_cap) {
     m_.shed_share.inc();
-    d.admit = false;
-    d.reason = "client over fair share";
-    return d;
+    return shed("client over fair share");
   }
 
-  // Admitted: charge the bucket (possibly into debt — the floor is -burst,
-  // so a huge estimate is paid off by future refills instead of being
-  // unservable) and the backlog.
+  // Admitted: charge the bucket (possibly into debt — the floor is minus
+  // the depth, so a huge estimate is paid off by future refills instead of
+  // being unservable), the client's share and the backlog.
   if (options_.rate_units_per_s > 0.0) {
-    c.tokens = std::max(-options_.rate_burst_units,
-                        c.tokens - static_cast<double>(cost));
+    c.tokens = std::max(-burst_units_, c.tokens - static_cast<double>(cost));
   }
   c.in_flight_cost += cost;
+  ++flights_;
   pending_cost_ += cost;
   m_.admitted.inc();
 
   // Brownout: under sustained pressure, estimates keep answering — with a
   // reduced sweep, marked degraded, never cached — before anything sheds.
-  const double pressure = static_cast<double>(pending_cost_) / limit_;
+  // Only while other work is pending, the backlog check's own condition: a
+  // lone request on an idle executor is served in full, however big.
   // Trial-range shards are exempt: shrinking a shard's sweep would change
   // which trials it covers and corrupt the scatter merge — under pressure a
   // shard either runs whole or sheds (docs/SCATTER.md).
-  if (options_.brownout && pressure > options_.brownout_pressure &&
-      q.kind == QueryKind::kEstimate && !q.has_trial_range() &&
-      q.trials > options_.brownout_min_trials) {
-    const auto kept = static_cast<unsigned>(std::ceil(
-        static_cast<double>(q.trials) * options_.brownout_keep));
-    d.trials = std::clamp(kept, options_.brownout_min_trials, q.trials - 1);
+  const double cost_pressure = static_cast<double>(pending_cost_) / limit_;
+  if (options_.brownout && others_pending &&
+      cost_pressure > kBrownoutPressure && q.kind == QueryKind::kEstimate &&
+      !q.has_trial_range() && q.trials > kBrownoutMinTrials) {
+    const auto kept = static_cast<unsigned>(
+        std::ceil(static_cast<double>(q.trials) * kBrownoutKeep));
+    d.trials = std::clamp(kept, kBrownoutMinTrials, q.trials - 1);
     d.brownout = true;
     m_.brownouts.inc();
   }
-  m_.pressure.set(static_cast<double>(pending_cost_) / limit_);
+  m_.pressure.set(pressure_locked());
   return d;
 }
 
-void Guard::complete(const std::string& client, std::uint64_t cost) {
-  std::lock_guard lock(mutex_);
+void Guard::uncharge_locked(const std::string& client, std::uint64_t cost) {
+  if (flights_ > 0) --flights_;
   pending_cost_ -= std::min(pending_cost_, cost);
   auto it = clients_.find(client);
   if (it != clients_.end()) {
     it->second.in_flight_cost -=
         std::min(it->second.in_flight_cost, cost);
   }
-  const std::uint64_t now = now_ms();
-  maybe_adjust_locked(now);
-  m_.pressure.set(static_cast<double>(pending_cost_) / limit_);
+}
+
+void Guard::complete(const std::string& client, std::uint64_t cost,
+                     double full_ms) {
+  std::lock_guard lock(mutex_);
+  uncharge_locked(client, cost);
+  // Drain-rate sample: full answers only — a sweep that quit early or was
+  // shortened by brownout would make the per-unit estimate optimistic.
+  if (full_ms >= 0.0) drain_.note(full_ms, cost, workers_);
+  maybe_adjust_locked(now_ms());
+  m_.pressure.set(pressure_locked());
 }
 
 void Guard::release(const std::string& client, std::uint64_t cost) {
   std::lock_guard lock(mutex_);
-  pending_cost_ -= std::min(pending_cost_, cost);
-  auto it = clients_.find(client);
-  if (it != clients_.end()) {
-    it->second.in_flight_cost -=
-        std::min(it->second.in_flight_cost, cost);
-  }
-  m_.pressure.set(static_cast<double>(pending_cost_) / limit_);
+  uncharge_locked(client, cost);
+  m_.pressure.set(pressure_locked());
+}
+
+double Guard::pressure_locked() const {
+  // A zero count cap admits nothing: the gate is closed however idle.
+  const double flights =
+      max_flights_ == 0 ? 1.0
+                        : static_cast<double>(flights_) /
+                              static_cast<double>(max_flights_);
+  return std::max(flights, static_cast<double>(pending_cost_) / limit_);
 }
 
 double Guard::pressure() const {
   std::lock_guard lock(mutex_);
-  return limit_ > 0.0 ? static_cast<double>(pending_cost_) / limit_ : 0.0;
+  return pressure_locked();
+}
+
+std::size_t Guard::pending_flights() const {
+  std::lock_guard lock(mutex_);
+  return flights_;
 }
 
 std::uint64_t Guard::pending_cost() const {
@@ -256,8 +291,7 @@ Json Guard::to_json() const {
   doc["cost_budget"] = options_.cost_budget;
   doc["limit"] = static_cast<std::uint64_t>(limit_);
   doc["pending_cost"] = pending_cost_;
-  doc["pressure"] =
-      limit_ > 0.0 ? static_cast<double>(pending_cost_) / limit_ : 0.0;
+  doc["pressure"] = pressure_locked();
   doc["adaptive"] = options_.adaptive;
   doc["clients"] = clients_.size();
   doc["admitted"] = m_.admitted.value();

@@ -1,8 +1,10 @@
 #pragma once
-// netemu::guard — overload protection for the query service.
+// netemu::guard — the query executor's admission gate (docs/GUARD.md).
 //
-// Four cooperating pieces (docs/GUARD.md):
+// Five cooperating pieces, always on:
 //
+//  * a count cap, checked first: at most max_queue admitted flights queued
+//    or running, whatever they cost;
 //  * cost-model admission: the executor admits estimated work units
 //    (guard/cost.hpp), not query count, so one huge estimate and one
 //    closed-form lookup stop being "equal" at the admission gate;
@@ -15,15 +17,19 @@
 //    limit between a floor and a ceiling from its executor's
 //    netemu_execute_us histogram (scope) — p95 above target multiplies the
 //    limit down, p95 at/below target adds a fixed increment back;
-//  * brownout: above a pressure threshold, estimate queries are served with
-//    a reduced trial sweep, marked "degraded":true and never cached, before
-//    the guard ever sheds them.
+//  * brownout: above a pressure threshold, and only while other work is
+//    pending, estimate queries are served with a reduced trial sweep,
+//    marked "degraded":true and never cached, before the guard ever sheds
+//    them.
 //
-// The Guard itself is a decision box: the executor asks admit() before a
-// flight is created, reports complete() when one finishes, and reads
-// pressure()/to_json() for the health report.  It takes its own lock and
-// may be called under the executor's.  Its counts live only in the
-// netemu_guard_* metrics of the registry it is given (its executor's).
+// The Guard itself is a decision box and the one owner of the admission
+// tallies (pending flights, pending cost, the drain-rate retry hint and
+// pressure): the executor asks admit() before a flight is created and
+// releases each admitted flight exactly once, when it leaves the flight map
+// — complete() after its compute, release() when it never ran or the
+// watchdog gave up on it.  It takes its own lock and may be called under
+// the executor's.  Its counts live only in the netemu_guard_* metrics of
+// the registry it is given (its executor's).
 
 #include <chrono>
 #include <cstdint>
@@ -42,7 +48,7 @@ namespace netemu::guard {
 /// executor needs to retire one cost unit", fed by completed computes.
 /// Turns the shed retry_after_ms hint from a constant into
 /// backlog x drain-time, clamped.  Not internally synchronized — the owner
-/// (the executor) calls it under its own mutex.
+/// (the Guard) calls it under its own mutex.
 class DrainRate {
  public:
   /// Record one completed flight: `busy_ms` wall time for `cost` units,
@@ -65,27 +71,21 @@ class DrainRate {
 };
 
 struct Options {
-  /// Master switch.  Off: the executor keeps its plain max_queue counter
-  /// and none of the per-client machinery runs (library default, so
-  /// embedded executors and existing tests keep seed behavior).
-  bool enabled = false;
-
   /// Admission budget in cost units (guard/cost.hpp).  0 derives
   /// 8 x max_queue from the executor's options — eight closed-form units
-  /// per legacy queue slot.
+  /// per queue slot.
   std::uint64_t cost_budget = 0;
 
   /// One client's in-flight cost may not exceed this fraction of the
   /// effective limit while other work is pending (fair-share isolation).
   double client_share = 0.5;
 
-  /// Per-client token bucket: average admission rate in units/second.
-  /// 0 disables rate limiting.  A query costing more than the remaining
-  /// tokens is admitted into debt (the bucket floor is -burst), so a huge
-  /// estimate is paid off over time instead of being unservable.
+  /// Per-client token bucket: average admission rate in units/second, with
+  /// a depth of two seconds of refill.  0 disables rate limiting.  A query
+  /// costing more than the remaining tokens is admitted into debt (the
+  /// bucket floor is minus the depth), so a huge estimate is paid off over
+  /// time instead of being unservable.
   double rate_units_per_s = 0.0;
-  /// Bucket depth; 0 = two seconds of refill.
-  double rate_burst_units = 0.0;
 
   /// Bounded client map: least-recently-seen idle clients are evicted past
   /// this many (their bucket state resets — acceptable for strangers).
@@ -97,17 +97,11 @@ struct Options {
   double target_p95_ms = 250.0;        ///< execute-latency target
   std::uint64_t adjust_interval_ms = 100;
   std::uint64_t adjust_min_samples = 8;  ///< skip adjust on thinner windows
-  double decrease_factor = 0.7;        ///< multiplicative decrease
-  double increase_fraction = 0.05;     ///< additive increase, x cost_budget
-  double limit_floor = 0.125;          ///< x cost_budget
-  double limit_ceiling = 2.0;          ///< x cost_budget
 
-  /// Brownout: above this pressure (pending cost / effective limit),
-  /// estimate queries run a reduced sweep instead of their full trials.
+  /// Brownout: while other work is pending and the cost pressure is past
+  /// 0.75, estimate queries run a reduced sweep instead of their full
+  /// trials.
   bool brownout = true;
-  double brownout_pressure = 0.75;
-  double brownout_keep = 0.25;         ///< fraction of trials kept
-  unsigned brownout_min_trials = 1;
 
   /// Test hook: monotonic milliseconds.  Unset = steady_clock.
   std::function<std::uint64_t()> clock_ms;
@@ -120,8 +114,8 @@ class Guard {
     bool brownout = false;     ///< serve a reduced-quality answer
     unsigned trials = 0;       ///< reduced trial count when brownout
     std::string reason;        ///< shed reason when !admit
-    /// Rate-limit sheds carry a token-refill hint; other sheds leave 0 and
-    /// the executor computes a drain-rate hint instead.
+    /// Backoff hint on every shed: the token-refill time for a rate-limit
+    /// shed, the backlog's drain-rate estimate for the others.
     std::uint64_t retry_after_ms = 0;
   };
 
@@ -129,26 +123,40 @@ class Guard {
   /// registry) and feeds the AIMD controller from that registry's
   /// netemu_execute_us histogram, the residency of every request the
   /// executor answers.  Not owned; must outlive the guard.
-  Guard(Options options, scope::Registry& metrics);
+  ///
+  /// `max_flights` is the count cap (the executor's max_queue): admitted
+  /// flights queued or running.  `workers` drain the backlog in parallel,
+  /// and `retry_after_ms` is the shed hint until the first drain-rate
+  /// sample.
+  Guard(Options options, scope::Registry& metrics, std::size_t max_flights,
+        std::size_t workers, std::uint64_t retry_after_ms);
 
   /// Admission decision for one query about to become a flight leader.
-  /// On admit the cost is charged (pending cost, client bucket + share);
-  /// the caller MUST pair it with complete() or release().
+  /// On admit one flight and its cost are charged (pending flights and
+  /// cost, client bucket + share); the caller MUST pair it with exactly one
+  /// complete() or release().
   Decision admit(const std::string& client, const Query& q,
                  std::uint64_t cost);
 
-  /// A charged flight finished (any outcome).  Also ticks the AIMD
-  /// controller when its adjust interval has elapsed.
-  void complete(const std::string& client, std::uint64_t cost);
+  /// A charged flight's compute finished (any outcome): un-charge it and
+  /// tick the AIMD controller when its adjust interval has elapsed.
+  /// `full_ms` >= 0 is the wall time of a full answer, a drain-rate sample.
+  void complete(const std::string& client, std::uint64_t cost,
+                double full_ms = -1.0);
 
-  /// A charged flight was dropped without running (drain shed of a queued
-  /// task, pool rejection): un-charge without feeding the controller.
+  /// A charged flight left without a result (drain shed of a queued task,
+  /// pool rejection, watchdog abandonment): un-charge without feeding the
+  /// controller.
   void release(const std::string& client, std::uint64_t cost);
 
-  /// Pending admitted cost / effective limit.  >= 1.0 means the gate is
-  /// effectively closed; the health report exposes it for fleet routing.
+  /// The one admission pressure: the larger of pending flights over the
+  /// count cap and pending cost over the effective limit.  >= 1.0 means
+  /// the gate is effectively closed; the health report exposes it for
+  /// fleet routing.
   double pressure() const;
 
+  /// Admitted flights not yet completed or released.
+  std::size_t pending_flights() const;
   std::uint64_t pending_cost() const;
   std::uint64_t effective_limit() const;
   std::size_t clients_tracked() const;
@@ -170,6 +178,8 @@ class Guard {
   std::uint64_t now_ms() const;
   ClientState& client_state_locked(const std::string& client,
                                    std::uint64_t now);
+  void uncharge_locked(const std::string& client, std::uint64_t cost);
+  double pressure_locked() const;
   void refill_locked(ClientState& c, std::uint64_t now) const;
   void maybe_adjust_locked(std::uint64_t now);
   void evict_idle_locked(std::uint64_t now);
@@ -200,19 +210,27 @@ class Guard {
     scope::Gauge& limit =
         r.gauge("netemu_guard_cost_limit",
                 "AIMD-effective admission cost limit, in cost units");
-    scope::Gauge& pressure = r.gauge(
-        "netemu_guard_pressure",
-        "Pending admitted cost over the effective limit (>= 1 = gate closed)");
+    scope::Gauge& pressure =
+        r.gauge("netemu_guard_pressure",
+                "Admission pressure: the larger of pending flights over "
+                "max_queue and pending cost over the effective limit (>= 1 = "
+                "gate closed)");
     const scope::Histogram& execute_us = r.histogram("netemu_execute_us");
   };
 
   Options options_;
+  const std::size_t max_flights_;
+  const std::size_t workers_;
+  const std::uint64_t retry_after_ms_;
+  const double burst_units_;  ///< token-bucket depth
   const Meters m_;
   const std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, ClientState> clients_;
+  std::size_t flights_ = 0;
   std::uint64_t pending_cost_ = 0;
+  DrainRate drain_;  ///< feeds the non-rate sheds' retry_after_ms
   double limit_ = 0.0;  ///< AIMD-effective cost limit
   std::uint64_t last_adjust_ms_ = 0;
   scope::Histogram::Snapshot last_snapshot_;

@@ -25,6 +25,7 @@ const char* request_failure_name(RequestFailure f) {
     case RequestFailure::kTransport: return "transport";
     case RequestFailure::kProtocol: return "protocol";
     case RequestFailure::kOverloaded: return "overloaded";
+    case RequestFailure::kDeadline: return "deadline";
   }
   return "unknown";
 }
@@ -209,9 +210,16 @@ Client::RequestOutcome Client::request_outcome(const Json& request_doc) {
       socket_timeout_overridden_ = false;
     }
     if (!request_raw(request_line, response_line)) {
+      close();  // the stream may be desynced; retry on a fresh connection
+      if (budget_ms > 0 && remaining_ms() == 0) {
+        // The socket timeout was the budget's remainder: the request ran
+        // out of time, the backend did not fail.
+        out.error = "attempt timed out (deadline budget exhausted)";
+        out.failure = RequestFailure::kDeadline;
+        return out;
+      }
       out.error = "transport failure (daemon gone?)";
       out.failure = RequestFailure::kTransport;
-      close();  // the stream may be desynced; retry on a fresh connection
       if (retry_after(0)) continue;
       return out;
     }

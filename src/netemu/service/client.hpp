@@ -45,6 +45,8 @@ enum class RequestFailure {
   kTransport,       ///< connection lost / timed out mid-request
   kProtocol,        ///< response arrived but was not parseable JSON
   kOverloaded,      ///< final response was an admission-control shed
+  kDeadline,        ///< the request's own deadline budget ran out: says
+                    ///< nothing about the backend's health
 };
 
 const char* request_failure_name(RequestFailure f);

@@ -342,6 +342,13 @@ void ExchangePool::on_timeout(Exchange& ex, std::uint64_t timeout_ms) {
   if (ex.conn != nullptr) close(*ex.conn);
   ex.out.error = "attempt timed out after " + std::to_string(timeout_ms) +
                  " ms";
+  if (ex.budget_ms > 0 && ex.remaining_ms() == 0) {
+    // The request ran out of time, the backend did not fail.
+    ex.out.error += " (deadline budget exhausted)";
+    ex.out.failure = RequestFailure::kDeadline;
+    finish(ex);
+    return;
+  }
   ex.out.failure = RequestFailure::kTransport;
   retry_after(ex);
 }

@@ -5,7 +5,7 @@
 // response document (a shed is flagged kOverloaded, as request_outcome
 // reports it with retry_overloaded off) or a classified failure —
 // connect refused, transport (a drop or a timeout), protocol (an
-// unparseable line).
+// unparseable line), deadline (the request's own budget ran out).
 //
 // Client::RetryPolicy applies (retry_overloaded aside: a shed always ends
 // the exchange), with every wait a reactor timer:
@@ -16,7 +16,8 @@
 //   - attempt_timeout_ms bounds each attempt (0: no bound);
 //   - a deadline budget (the request's deadline_ms) covers the whole
 //     exchange: each attempt's timeout and each backoff draw from what is
-//     left, and retrying stops once it is spent.
+//     left, and retrying stops once it is spent.  An attempt that times
+//     out with the budget spent ends the exchange as kDeadline.
 //
 // Connections: one request in flight per connection.  A finished exchange
 // hands its connection back to the port's idle list (at most

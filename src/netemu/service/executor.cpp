@@ -21,6 +21,18 @@ double micros_since(Clock::time_point start) {
       .count();
 }
 
+/// The guard's options, its budget derived when unset: eight closed-form
+/// units per queue slot, roomier than the count cap for cheap queries and
+/// far tighter for heavy estimates, which is the point.
+guard::Options admission_options(const QueryExecutor::Options& o) {
+  guard::Options g = o.guard;
+  if (g.cost_budget == 0) {
+    g.cost_budget =
+        8 * static_cast<std::uint64_t>(std::max<std::size_t>(1, o.max_queue));
+  }
+  return g;
+}
+
 }  // namespace
 
 QueryExecutor::QueryExecutor() : QueryExecutor(Options()) {}
@@ -30,7 +42,10 @@ QueryExecutor::QueryExecutor(Options options)
       m_{metrics_},
       cache_(options_.cache_capacity, options_.cache_file,
              options_.cache_journal),
-      pool_(options_.threads) {
+      pool_(options_.threads),
+      guard_(admission_options(options_), metrics_, options_.max_queue,
+             pool_.size(), options_.retry_after_hint_ms),
+      sched_(pool_, guard::FairScheduler::Options{}) {
   if (!options_.compute) {
     // Pass the executor's own pool down so estimate trials run concurrently;
     // measure_throughput's collaborative loop makes that safe even though
@@ -41,20 +56,6 @@ QueryExecutor::QueryExecutor(Options options)
   }
   if (options_.faults) cache_.set_fault_injector(options_.faults);
   if (options_.load_cache && !options_.cache_file.empty()) cache_.load();
-  if (options_.guard.enabled) {
-    guard::Options gopts = options_.guard;
-    if (gopts.cost_budget == 0) {
-      // Eight closed-form units per legacy queue slot: the cost gate starts
-      // roomier than the count gate for cheap queries and far tighter for
-      // heavy estimates, which is the point.
-      gopts.cost_budget =
-          8 * static_cast<std::uint64_t>(
-                  std::max<std::size_t>(1, options_.max_queue));
-    }
-    guard_ = std::make_unique<guard::Guard>(std::move(gopts), metrics_);
-    sched_ = std::make_unique<guard::FairScheduler>(
-        pool_, guard::FairScheduler::Options{});
-  }
   if (options_.hang_timeout_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
@@ -69,7 +70,7 @@ QueryExecutor::~QueryExecutor() {
   if (watchdog_.joinable()) watchdog_.join();
   // Queued-but-unstarted tasks answer their waiters before the pool goes
   // away; tasks already on a worker drain below.
-  if (sched_) sched_->shed_queued();
+  sched_.shed_queued();
   // Drain in-flight work first so every accepted computation lands in the
   // cache before it is persisted.
   pool_.shutdown();
@@ -95,8 +96,9 @@ void QueryExecutor::watchdog_loop() {
         // stops (within one check quantum) instead of burning a worker
         // until it finishes into an abandoned flight.
         f.cancel.request_cancel();
-        --pending_;  // free the admission slot its leader occupied
-        pending_cost_units_ -= std::min(pending_cost_units_, f.cost);
+        // Leaving the flight map releases the guard's charge, here and
+        // only here: the stuck compute may never return.
+        guard_.release(f.client, f.cost);
         hung.push_back(it->second);
         it = flights_.erase(it);
       } else {
@@ -141,9 +143,8 @@ std::optional<Response> QueryExecutor::try_cached(const Query& q) {
   const std::uint64_t tid = q.trace_id;
   // Probe before committing to any accounting: a miss must leave every
   // counter untouched so the fallback execute() stays the single
-  // authoritative accounting path (get_if_hit leaves misses uncounted for
-  // the same reason).
-  auto cached = cache_.get_if_hit(key);
+  // authoritative accounting path.
+  auto cached = cache_.get(key);
   if (!cached) return std::nullopt;
 
   scope::SpanTimer exec_span(tid, "executor.execute");
@@ -199,6 +200,7 @@ Response QueryExecutor::execute(const Query& q) {
       probe.finish();
       return hit(std::move(*cached));
     }
+    m_.cache_misses.inc();
     probe.set_note("miss");
     probe.finish();
   }
@@ -224,9 +226,7 @@ Response QueryExecutor::execute(const Query& q) {
       // landed in between: look once more, under the lock, instead of
       // computing it again.
       if (!q.refresh) {
-        if (auto cached = cache_.get_if_hit(key)) {
-          return hit(std::move(*cached));
-        }
+        if (auto cached = cache_.get(key)) return hit(std::move(*cached));
       }
       if (draining_) {
         m_.shed.inc();
@@ -242,44 +242,20 @@ Response QueryExecutor::execute(const Query& q) {
         response.overloaded = true;
         return finish(response);
       }
-      if (pending_ >= options_.max_queue) {
+      const guard::Guard::Decision decision = guard_.admit(client, q, cost);
+      if (!decision.admit) {
         m_.shed.inc();
         scope::FlightRecorder::global().record(
             scope::FlightRecorder::Kind::kShed, tid,
-            "admission queue full: pending=" + std::to_string(pending_) +
-                " key=" + hex64(key));
+            "shed (" + decision.reason + "): client=" + client +
+                " cost=" + std::to_string(cost) + " key=" + hex64(key));
         exec_span.set_note("shed");
-        response.error = "overloaded: admission queue full";
+        response.error = "overloaded: " + decision.reason;
         response.overloaded = true;
-        response.retry_after_ms = drain_rate_.hint_ms(
-            static_cast<double>(pending_cost_units_),
-            options_.retry_after_hint_ms);
+        response.retry_after_ms = decision.retry_after_ms;
         return finish(response);
       }
-      if (guard_) {
-        const guard::Guard::Decision decision =
-            guard_->admit(client, q, cost);
-        if (!decision.admit) {
-          m_.shed.inc();
-          scope::FlightRecorder::global().record(
-              scope::FlightRecorder::Kind::kShed, tid,
-              "guard shed (" + decision.reason + "): client=" + client +
-                  " cost=" + std::to_string(cost) + " key=" + hex64(key));
-          exec_span.set_note("shed");
-          response.error = "overloaded: " + decision.reason;
-          response.overloaded = true;
-          // Rate-limit sheds carry a token-refill hint; backlog/share sheds
-          // scale with how long the admitted cost takes to drain.
-          response.retry_after_ms =
-              decision.retry_after_ms != 0
-                  ? decision.retry_after_ms
-                  : drain_rate_.hint_ms(
-                        static_cast<double>(pending_cost_units_),
-                        options_.retry_after_hint_ms);
-          return finish(response);
-        }
-        if (decision.brownout) brownout_trials = decision.trials;
-      }
+      if (decision.brownout) brownout_trials = decision.trials;
       flight = std::make_shared<Flight>();
       flight->started = start;
       flight->key = key;
@@ -291,8 +267,6 @@ Response QueryExecutor::execute(const Query& q) {
       // token can be checked concurrently (CancelSource's arm contract).
       flight->cancel.set_deadline_after_ms(deadline_ms);
       flights_[key] = flight;
-      ++pending_;
-      pending_cost_units_ += cost;
       leader = true;
     }
   }
@@ -425,16 +399,12 @@ Response QueryExecutor::execute(const Query& q) {
       }
       {
         std::lock_guard lock(mutex_);
-        // Drain-rate sample: full answers only — a sweep that quit early or
-        // was shortened by brownout would make the per-unit estimate
-        // optimistic.
-        if (full) {
-          drain_rate_.note(compute_micros / 1000.0, flight->cost,
-                           pool_.size());
+        // A flight the watchdog abandoned had its charge released then.
+        if (unregister_locked(flight)) {
+          guard_.complete(flight->client, flight->cost,
+                          full ? compute_micros / 1000.0 : -1.0);
         }
-        unregister_locked(flight);
       }
-      if (guard_) guard_->complete(flight->client, flight->cost);
       {
         std::lock_guard flight_lock(flight->mutex);
         // If the watchdog already published a "hung" error, the waiters are
@@ -446,34 +416,14 @@ Response QueryExecutor::execute(const Query& q) {
       }
       flight->cv.notify_all();
     };
-    if (sched_) {
-      // Guard mode: the fair scheduler owns dispatch order (DRR across
-      // clients).  If the task is shed before it starts (drain, shutdown),
-      // the flight's waiters — this leader included — get an overloaded
-      // response through the shed callback and the wait below returns.
-      sched_->submit(flight->client, cost, std::move(task),
-                     [this, flight, key, tid] {
-                       shed_unstarted_flight(flight, key, tid);
-                     });
-    } else if (!pool_.submit(std::move(task))) {
-      {
-        std::lock_guard lock(mutex_);
-        unregister_locked(flight);
-        if (flight->waiters > 0) --flight->waiters;
-      }
-      m_.shed.inc();
-      // Wake any follower that joined between registration and rejection.
-      {
-        std::lock_guard flight_lock(flight->mutex);
-        if (!flight->done) {
-          flight->response.error = "executor shutting down";
-          flight->done = true;
-        }
-      }
-      flight->cv.notify_all();
-      response.error = "executor shutting down";
-      return finish(response);
-    }
+    // The fair scheduler owns dispatch order (DRR across clients).  If the
+    // task is shed before it starts (drain, shutdown), the flight's waiters
+    // — this leader included — get an overloaded response through the shed
+    // callback and the wait below returns.
+    sched_.submit(flight->client, cost, std::move(task),
+                  [this, flight, key, tid] {
+                    shed_unstarted_flight(flight, key, tid);
+                  });
   }
 
   // Waiters linger a short grace past the deadline: the compute token fires
@@ -523,6 +473,7 @@ Response QueryExecutor::execute(const Query& q) {
 QueryExecutor::Stats QueryExecutor::stats() const {
   return {.requests = m_.requests.value(),
           .cache_hits = m_.cache_hits.value(),
+          .cache_misses = m_.cache_misses.value(),
           .computed = m_.computed.value(),
           .dedup_joins = m_.dedup_joins.value(),
           .rejected = m_.shed.value(),
@@ -575,9 +526,8 @@ void QueryExecutor::shed_unstarted_flight(
   {
     std::lock_guard lock(mutex_);
     was_draining = draining_;
-    unregister_locked(flight);
+    if (unregister_locked(flight)) guard_.release(flight->client, flight->cost);
   }
-  if (guard_) guard_->release(flight->client, flight->cost);
   m_.shed.inc();
   scope::FlightRecorder::global().record(
       scope::FlightRecorder::Kind::kShed, tid,
@@ -597,15 +547,11 @@ void QueryExecutor::shed_unstarted_flight(
   flight->cv.notify_all();
 }
 
-void QueryExecutor::unregister_locked(const std::shared_ptr<Flight>& flight) {
-  // The watchdog may have abandoned this flight (erasing it and freeing its
-  // slot); only unregister what is still registered, and never
-  // double-decrement pending_.
+bool QueryExecutor::unregister_locked(const std::shared_ptr<Flight>& flight) {
   const auto it = flights_.find(flight->key);
-  if (it == flights_.end() || it->second != flight) return;
+  if (it == flights_.end() || it->second != flight) return false;
   flights_.erase(it);
-  --pending_;
-  pending_cost_units_ -= std::min(pending_cost_units_, flight->cost);
+  return true;
 }
 
 void QueryExecutor::begin_drain() {
@@ -616,7 +562,7 @@ void QueryExecutor::begin_drain() {
   }
   // Queued-but-unstarted flights answer "draining" now instead of running:
   // drain exists to finish what is running, not to start new work.
-  if (sched_) sched_->shed_queued();
+  sched_.shed_queued();
   scope::FlightRecorder::global().record(scope::FlightRecorder::Kind::kInfo,
                                          0, "executor draining");
 }
@@ -636,13 +582,8 @@ QueryExecutor::ComputeTimes QueryExecutor::compute_times() const {
   return t;
 }
 
-double QueryExecutor::pressure() const {
-  return guard_ ? guard_->pressure() : 0.0;
-}
-
 std::size_t QueryExecutor::pending() const {
-  std::lock_guard lock(mutex_);
-  return pending_;
+  return guard_.pending_flights();
 }
 
 std::size_t QueryExecutor::active_flights() const {

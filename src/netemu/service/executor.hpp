@@ -4,10 +4,13 @@
 //   execute(query)
 //     ├─ cache hit  ──────────────────────────────► O(1) answer
 //     ├─ identical query already in flight ───────► join it (single-flight)
-//     ├─ admission queue full ────────────────────► shed: "overloaded" +
-//     │                                             retry_after_ms hint
-//     └─ otherwise: run plan_query() on the pool, publish to every waiter,
-//        store the result under its content address.
+//     ├─ draining ────────────────────────────────► shed: "overloaded:
+//     │                                             draining", no hint
+//     ├─ guard::Guard::admit refuses (count cap, ─► shed: "overloaded" +
+//     │  rate, cost budget, fair share)             retry_after_ms hint
+//     └─ otherwise: run plan_query() on the pool through the fair
+//        scheduler, publish to every waiter, store the result under its
+//        content address.
 //
 // Single-flight matters because the expensive queries are the memoizable
 // ones: a thundering herd of identical `estimate` requests triggers exactly
@@ -17,7 +20,7 @@
 //
 // Resilience (netemu::faultline integration):
 //  * a watchdog thread cancels flights older than hang_timeout_ms — waiters
-//    get a "hung" error, the admission slot is freed immediately, AND the
+//    get a "hung" error, the guard's charge is released immediately, AND the
 //    flight's CancelSource fires so a cooperative compute unwinds within one
 //    check quantum instead of burning a pool worker until completion;
 //  * cooperative cancellation end-to-end (docs/LIFECYCLE.md): every flight
@@ -75,7 +78,8 @@ class QueryExecutor {
  public:
   struct Options {
     std::size_t threads = 0;        ///< worker threads; 0 = hardware
-    std::size_t max_queue = 64;     ///< max queries queued or running
+    std::size_t max_queue = 64;     ///< max leader flights queued or
+                                    ///< running (the guard's count cap)
     std::uint64_t default_deadline_ms = 30000;
     std::size_t cache_capacity = 4096;
     std::string cache_file;         ///< empty = memory-only cache
@@ -84,7 +88,7 @@ class QueryExecutor {
     /// SIGKILL'd process rejoins warm (see ResultCache).  Needs cache_file.
     bool cache_journal = false;
     /// Flights older than this are cancelled by the watchdog (waiters get
-    /// an error, the admission slot is freed).  0 disables the watchdog.
+    /// an error, the guard's charge is released).  0 disables the watchdog.
     std::uint64_t hang_timeout_ms = 0;
     /// Backoff hint attached to shed ("overloaded") responses.  Used as-is
     /// until the executor has completed at least one compute; after that the
@@ -106,11 +110,10 @@ class QueryExecutor {
     /// "degraded": true (see plan_query); compute that ignores it merely
     /// keeps the pre-cancellation behavior.
     std::function<Json(const Query&, const CancelToken&)> compute;
-    /// Overload guard (netemu::guard): cost-model admission, per-client
-    /// token buckets + fair-share caps, DRR dispatch, AIMD limit, brownout.
-    /// Disabled by default — embedded executors keep the plain max_queue
-    /// counter.  When enabled with cost_budget == 0, the budget derives as
-    /// 8 x max_queue cost units.
+    /// The admission gate (netemu::guard), always on: the max_queue count
+    /// cap, cost-model admission, per-client token buckets + fair-share
+    /// caps, AIMD limit and brownout, with DRR dispatch to the pool.  With
+    /// cost_budget == 0 the budget derives as 8 x max_queue cost units.
     guard::Options guard;
   };
 
@@ -145,6 +148,7 @@ class QueryExecutor {
   struct Stats {
     std::uint64_t requests = 0;
     std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
     std::uint64_t computed = 0;        ///< computes that produced an answer
     std::uint64_t dedup_joins = 0;     ///< requests that joined a flight
     std::uint64_t rejected = 0;        ///< shed (admission, drain, shutdown)
@@ -188,7 +192,7 @@ class QueryExecutor {
   };
   ComputeTimes compute_times() const;
 
-  /// Queries queued or running (the admission counter).
+  /// Leader flights queued or running (the guard's flight count).
   std::size_t pending() const;
   /// Flights currently registered (single-flight map size).
   std::size_t active_flights() const;
@@ -197,11 +201,11 @@ class QueryExecutor {
 
   const Options& options() const { return options_; }
 
-  /// The overload guard, or nullptr when Options::guard.enabled is false.
-  const guard::Guard* overload_guard() const { return guard_.get(); }
-  /// Guard pressure (pending admitted cost / effective limit); 0 without a
-  /// guard.  >= 1.0 means the admission gate is effectively closed.
-  double pressure() const;
+  /// The admission gate; never null.
+  const guard::Guard* overload_guard() const { return &guard_; }
+  /// Admission pressure (Guard::pressure): >= 1.0 means the gate is
+  /// effectively closed.
+  double pressure() const { return guard_.pressure(); }
 
   ResultCache& cache() { return cache_; }
   ThreadPool& pool() { return pool_; }
@@ -229,12 +233,13 @@ class QueryExecutor {
   };
 
   void watchdog_loop();
-  /// Take a finished or refused flight out of the single-flight map and
-  /// free its admission slot.  Caller holds mutex_.
-  void unregister_locked(const std::shared_ptr<Flight>& flight);
+  /// Take a flight out of the single-flight map.  False when it is gone
+  /// already (the watchdog abandoned it): its guard charge was released
+  /// then, and must not be released twice.  Caller holds mutex_.
+  bool unregister_locked(const std::shared_ptr<Flight>& flight);
   /// Answer a queued-but-never-started flight (drain shed, pool refusal):
-  /// unregister it, un-charge the guard, and publish an overloaded/draining
-  /// response to its waiters.
+  /// unregister it, release its guard charge, and publish an
+  /// overloaded/draining response to its waiters.
   void shed_unstarted_flight(const std::shared_ptr<Flight>& flight,
                              std::uint64_t key, std::uint64_t tid);
 
@@ -246,6 +251,9 @@ class QueryExecutor {
         r.counter("netemu_requests_total", "Requests accepted by the executor");
     scope::Counter& cache_hits = r.counter(
         "netemu_cache_hits_total", "Requests answered from the result cache");
+    scope::Counter& cache_misses = r.counter(
+        "netemu_cache_misses_total",
+        "Requests whose result-cache probe missed (refreshes skip the probe)");
     scope::Counter& computed = r.counter(
         "netemu_computed_total",
         "Computes that produced an answer (full, degraded or brownout)");
@@ -288,27 +296,21 @@ class QueryExecutor {
   const Meters m_;
   ResultCache cache_;
   const Clock::time_point started_ = Clock::now();
+  // The workers, then the gate and the dispatch in front of them (both are
+  // built from the pool).  The destructor sheds sched_'s queue and drains
+  // the pool before any member is destroyed, so no task outlives what it
+  // publishes into.
+  ThreadPool pool_;
+  guard::Guard guard_;
+  guard::FairScheduler sched_;
 
-  mutable std::mutex mutex_;  // guards flights_, pending_, draining_,
-                              // drain_rate_
+  mutable std::mutex mutex_;  // guards flights_, draining_, watchdog_stop_
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
-  std::size_t pending_ = 0;
-  std::uint64_t pending_cost_units_ = 0;  // sum of cost over leader flights
   bool draining_ = false;
-  guard::DrainRate drain_rate_;  // feeds dynamic retry_after_ms hints
-  std::unique_ptr<guard::Guard> guard_;  // null when Options::guard disabled
 
   std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;  // guarded by mutex_
+  bool watchdog_stop_ = false;
   std::thread watchdog_;
-
-  // Declared last: destroyed (drained) first, while cache_ and flights_ are
-  // still alive for in-flight tasks to publish into.  sched_ sits between
-  // execute() and pool_ when the guard is enabled; its dispatch callbacks
-  // run on pool threads, so it is declared before pool_ (outlives the
-  // drain) and its queue is shed in the destructor before pool shutdown.
-  std::unique_ptr<guard::FairScheduler> sched_;
-  ThreadPool pool_;
 };
 
 }  // namespace netemu

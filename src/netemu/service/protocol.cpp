@@ -54,8 +54,8 @@ std::string stats_line(QueryExecutor& exec, const Json& request) {
   Json cache = Json::object();
   cache["size"] = exec.cache().size();
   cache["capacity"] = exec.cache().capacity();
-  cache["hits"] = exec.cache().hits();
-  cache["misses"] = exec.cache().misses();
+  cache["hits"] = s.cache_hits;
+  cache["misses"] = s.cache_misses;
   result["cache"] = std::move(cache);
   result["uptime_s"] = exec.uptime_seconds();
   // Every scope metric this process serves with: the executor's own
@@ -94,19 +94,17 @@ std::string events_line() {
 
 std::string health_line(QueryExecutor& exec) {
   const QueryExecutor::Stats s = exec.stats();
-  const std::size_t pending = exec.pending();
-  const std::size_t max_queue = exec.options().max_queue;
 
   Json pool = Json::object();
   pool["threads"] = exec.pool().size();
-  pool["pending"] = pending;
-  pool["max_queue"] = max_queue;
+  pool["pending"] = exec.pending();
+  pool["max_queue"] = exec.options().max_queue;
 
   Json cache = Json::object();
   cache["size"] = exec.cache().size();
   cache["capacity"] = exec.cache().capacity();
-  cache["hits"] = exec.cache().hits();
-  cache["misses"] = exec.cache().misses();
+  cache["hits"] = s.cache_hits;
+  cache["misses"] = s.cache_misses;
   cache["corrupt_entries"] = exec.cache().corrupt_entries();
   cache["save_failures"] = exec.cache().save_failures();
   cache["persistent"] = !exec.cache().path().empty();
@@ -137,31 +135,19 @@ std::string health_line(QueryExecutor& exec) {
   compute["sim_messages_total"] = simulated_messages_total();
   compute["epoch_unix_s"] = scope::process_epoch_unix_s();
 
-  // Overload pressure for fleet routing: with a guard, pending admitted
-  // cost over the effective limit; without one, queue occupancy.  >= 1.0
-  // means the admission gate is effectively closed.
-  const double pressure =
-      exec.overload_guard()
-          ? exec.pressure()
-          : (max_queue > 0 ? static_cast<double>(pending) /
-                                 static_cast<double>(max_queue)
-                           : 0.0);
+  // Overload pressure for fleet routing: the guard's one number over both
+  // of its limits (flights over max_queue, cost over the effective limit).
+  // >= 1.0 means the admission gate is effectively closed.
+  const double pressure = exec.pressure();
 
   Json result = Json::object();
   // Draining outranks overloaded: a drained backend is going away, and a
   // fleet probe that sees it should route new work elsewhere.
-  result["status"] = exec.draining()                          ? "draining"
-                     : (pending >= max_queue || pressure >= 1.0)
-                         ? "overloaded"
-                         : "ok";
+  result["status"] = exec.draining()    ? "draining"
+                     : pressure >= 1.0 ? "overloaded"
+                                       : "ok";
   result["pressure"] = pressure;
-  if (const guard::Guard* g = exec.overload_guard()) {
-    result["guard"] = g->to_json();
-  } else {
-    Json off = Json::object();
-    off["enabled"] = false;
-    result["guard"] = std::move(off);
-  }
+  result["guard"] = exec.overload_guard()->to_json();
   result["uptime_s"] = exec.uptime_seconds();
   result["pool"] = std::move(pool);
   result["cache"] = std::move(cache);

@@ -76,20 +76,7 @@ void ResultCache::set_fault_injector(FaultInjector* injector) {
 std::optional<std::string> ResultCache::get(std::uint64_t key) {
   std::lock_guard lock(mutex_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->value;
-}
-
-std::optional<std::string> ResultCache::get_if_hit(std::uint64_t key) {
-  std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;  // uncounted; see header
-  ++hits_;
+  if (it == index_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }
@@ -398,16 +385,6 @@ bool ResultCache::probe_path(const std::string& path, std::string* error) {
 std::size_t ResultCache::size() const {
   std::lock_guard lock(mutex_);
   return lru_.size();
-}
-
-std::uint64_t ResultCache::hits() const {
-  std::lock_guard lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ResultCache::misses() const {
-  std::lock_guard lock(mutex_);
-  return misses_;
 }
 
 std::uint64_t ResultCache::corrupt_entries() const {

@@ -51,15 +51,13 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Lookup; refreshes LRU recency on hit.
+  /// Lookup; refreshes LRU recency on hit.  The cache counts nothing: its
+  /// owner counts hits and misses where a request probes it
+  /// (netemu_cache_{hits,misses}_total in the executor's registry).
   std::optional<std::string> get(std::uint64_t key);
 
-  /// Speculative lookup for a fast path that falls back to the full request
-  /// pipeline on a miss: a hit behaves exactly like get() (recency refresh,
-  /// hit counter), a miss is NOT counted — the fallback path re-probes with
-  /// get() and owns the authoritative miss accounting, so the counters stay
-  /// one-increment-per-request.
-  std::optional<std::string> get_if_hit(std::uint64_t key);
+  /// The same lookup under the name of the fast path's probe.
+  std::optional<std::string> get_if_hit(std::uint64_t key) { return get(key); }
 
   /// Insert or overwrite; evicts the least-recently-used entry when full.
   /// With journaling on, also appends the entry to the WAL (fsync'd).
@@ -86,8 +84,6 @@ class ResultCache {
   /// The journal sits beside the snapshot: `<path>.wal`.
   std::string wal_path() const { return path_.empty() ? "" : path_ + ".wal"; }
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
   /// Disk entries dropped by load() for checksum/parse failures.
   std::uint64_t corrupt_entries() const;
   /// save() calls that did not produce a complete file.
@@ -131,8 +127,6 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t corrupt_entries_ = 0;
   std::uint64_t save_failures_ = 0;
   std::uint64_t wal_appends_ = 0;

@@ -250,7 +250,6 @@ TEST(DrainOverload, DrainingOutranksGuardShedsAndCarriesNoHint) {
   // fail over), not a guard shed with a backoff hint that invites retries.
   QueryExecutor::Options options;
   options.threads = 1;
-  options.guard.enabled = true;
   options.guard.cost_budget = 1;  // the gate is trivially full once busy
   options.guard.adaptive = false;
   options.compute = [](const Query& q, const CancelToken&) {
@@ -269,12 +268,11 @@ TEST(DrainOverload, DrainingOutranksGuardShedsAndCarriesNoHint) {
 }
 
 TEST(DrainOverload, QueuedUnstartedFlightsShedWhenDrainBegins) {
-  // Guard mode queues leaders in the fair scheduler when every worker is
+  // The executor queues leaders in the fair scheduler when every worker is
   // busy.  Drain exists to finish what is RUNNING: the queued-but-unstarted
   // flight must answer "draining" immediately instead of starting.
   QueryExecutor::Options options;
   options.threads = 1;  // one worker, so a second flight parks in the queue
-  options.guard.enabled = true;
   options.guard.adaptive = false;
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
@@ -388,6 +386,35 @@ TEST(ClientBudget, RetriesDrawFromOneDeadlineBudget) {
       << out.error;
   EXPECT_LT(ms, 450);
   garbage.stop();
+}
+
+TEST(ClientBudget, SpentBudgetIsADeadlineOutcome) {
+  // A backend that never answers: each attempt's socket timeout is what is
+  // left of the budget, so the request runs out of time.  That is the
+  // request's own deadline, not a transport failure of the backend, and a
+  // fleet router must not hold it against the backend's breaker.
+  Server::Options so;
+  so.port = 0;
+  Server silent(
+      [](std::string, const std::string&, Reactor&, Server::Reply) {}, so);
+  std::string error;
+  ASSERT_TRUE(silent.start(&error)) << error;
+
+  Client client;
+  client.set_target(silent.port());
+  Json q = Json::object();
+  q["op"] = "bandwidth";
+  q["family"] = "Mesh";
+  q["n"] = 64;
+  q["deadline_ms"] = 50;
+
+  const Client::RequestOutcome out = client.request_outcome(q);
+  EXPECT_FALSE(out.doc.has_value());
+  EXPECT_EQ(out.failure, RequestFailure::kDeadline)
+      << request_failure_name(out.failure) << ": " << out.error;
+  EXPECT_NE(out.error.find("deadline budget exhausted"), std::string::npos)
+      << out.error;
+  silent.stop();
 }
 
 // ------------------------------------------------------------ fleet hedging

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "netemu/fleet/rendezvous.hpp"
 #include "netemu/fleet/router.hpp"
 #include "netemu/service/client.hpp"
+#include "netemu/service/planner.hpp"
 #include "netemu/service/result_cache.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/json.hpp"
@@ -164,6 +166,21 @@ TEST(BackendHealth, FailedProbeReopensWithAFreshCooldown) {
   EXPECT_FALSE(h.allow(200));
   EXPECT_EQ(h.state(250), BackendHealth::State::kHalfOpen);
   EXPECT_EQ(h.ejections(), 2u);
+}
+
+TEST(BackendHealth, ReleaseFreesTheProbeSlotAndCountsNothing) {
+  BackendHealth::Options o;
+  o.failure_threshold = 1;
+  o.open_cooldown_ms = 100;
+  BackendHealth h(o);
+  h.record_failure(0);  // open, cooldown until 100
+  ASSERT_TRUE(h.allow(100));   // the probe slot
+  ASSERT_FALSE(h.allow(101));
+  h.release(110);  // the probe's own deadline ran out: no verdict
+  EXPECT_EQ(h.state(110), BackendHealth::State::kHalfOpen);
+  EXPECT_TRUE(h.allow(111));  // the next probe may go
+  EXPECT_EQ(h.ejections(), 1u);
+  EXPECT_DOUBLE_EQ(h.window_failure_rate(), 1.0);  // only the first failure
 }
 
 TEST(BackendHealth, LateSuccessWhileOpenDoesNotCloseEarly) {
@@ -482,6 +499,58 @@ TEST(FleetRouter, RecoversAClosedBackendThroughHalfOpenProbes) {
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.backend, 0u);
   EXPECT_EQ(router.stats().backends[0].state, BackendHealth::State::kClosed);
+  revived.stop();
+}
+
+TEST(FleetRouter, DeadlineExpiryWhileHalfOpenLeavesTheBackendRecoverable) {
+  TestBackend a;
+  const std::uint16_t pa = a.start();
+  auto options = fast_router_options({pa});
+  options.health.open_cooldown_ms = 30;
+  FleetRouter router(options);
+
+  a.server->stop();
+  for (int i = 0; i < 3; ++i) router.request(bandwidth_query(9400));
+  ASSERT_EQ(router.stats().backends[0].state, BackendHealth::State::kOpen);
+
+  // Back on the same port, behind a compute that holds one query past its
+  // deadline (the executor answers only after deadline plus grace).
+  constexpr double kSlowN = 9401;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  QueryExecutor::Options eo;
+  eo.compute = [opened](const Query& q, const CancelToken& token) {
+    if (q.n == kSlowN) opened.wait_for(std::chrono::seconds(5));
+    return plan_query(q, nullptr, token);
+  };
+  QueryExecutor slow(std::move(eo));
+  Server::Options so;
+  so.port = pa;
+  Server revived(slow, so);
+  std::string error;
+  ASSERT_TRUE(revived.start(&error)) << error;
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  ASSERT_EQ(router.stats().backends[0].state,
+            BackendHealth::State::kHalfOpen);
+
+  // The half-open probe slot goes to a request whose own deadline runs out
+  // on the backend: no verdict either way.
+  Json late = bandwidth_query(kSlowN);
+  late["deadline_ms"] = 200;
+  FleetRouter::Result r = router.request(late);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("deadline budget exhausted"), std::string::npos)
+      << r.error;
+  FleetRouter::BackendStats s = router.stats().backends[0];
+  EXPECT_EQ(s.state, BackendHealth::State::kHalfOpen);
+  EXPECT_EQ(s.ejections, 1u);
+
+  // The slot came back: the next request is the probe, and closes it.
+  r = router.request(bandwidth_query(9400));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.backend, 0u);
+  EXPECT_EQ(router.stats().backends[0].state, BackendHealth::State::kClosed);
+  gate.set_value();
   revived.stop();
 }
 

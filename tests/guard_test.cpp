@@ -11,6 +11,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -43,6 +45,12 @@ Query estimate_query(double n, unsigned trials) {
   q.seed = 1;
   return q;
 }
+
+// A guard as a one-worker QueryExecutor builds it: the default max_queue
+// count cap and the default 50 ms first retry hint.
+constexpr std::size_t kMaxFlights = 64;
+constexpr std::size_t kWorkers = 1;
+constexpr std::uint64_t kRetryAfterMs = 50;
 
 /// Spin until `pred` holds or `ms` elapse; returns whether it held.
 template <typename Pred>
@@ -117,11 +125,10 @@ TEST(DrainRate, ParallelWorkersDrainFaster) {
 
 TEST(GuardAdmit, EmptyExecutorAdmitsAnything) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
   scope::Registry metrics;  // stands in for the executor's registry
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
 
   // The biggest legal estimate must stay servable when nothing competes,
   // even though it alone exceeds the whole budget.
@@ -136,19 +143,19 @@ TEST(GuardAdmit, EmptyExecutorAdmitsAnything) {
 
 TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
 
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 90).admit);
   const guard::Guard::Decision d =
       guard.admit("b", closed_form_query(), 20);
   EXPECT_FALSE(d.admit);
   EXPECT_EQ(d.reason, "cost budget full");
-  // Backlog sheds leave the hint to the executor's drain-rate estimate.
-  EXPECT_EQ(d.retry_after_ms, 0u);
+  // Backlog sheds carry the drain-rate hint: the fallback constant until
+  // the first full compute has been timed.
+  EXPECT_EQ(d.retry_after_ms, 50u);
   EXPECT_EQ(metrics.counter_value("netemu_guard_budget_full_total"), 1u);
   // The shed charged nothing: completing the admitted flight reopens.
   guard.complete("a", 90);
@@ -157,12 +164,11 @@ TEST(GuardAdmit, BacklogShedsOnceWorkIsPending) {
 
 TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.client_share = 0.5;  // one client may hold at most 50 units
   opts.adaptive = false;
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
 
   ASSERT_TRUE(guard.admit("greedy", closed_form_query(), 40).admit);
   // Second query would put the same client at 80 > 50: shed...
@@ -180,13 +186,12 @@ TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
 TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
   std::uint64_t now = 0;
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 1000;
   opts.rate_units_per_s = 10.0;  // burst defaults to 2 s of refill = 20
   opts.adaptive = false;
   opts.clock_ms = [&now] { return now; };
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
 
   // The full burst admits; the 21st unit finds an empty bucket.
   for (int i = 0; i < 20; ++i) {
@@ -207,11 +212,10 @@ TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
 
 TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 60).admit);
   EXPECT_DOUBLE_EQ(guard.pressure(), 0.6);
   guard.release("a", 60);
@@ -219,14 +223,41 @@ TEST(GuardAdmit, ReleaseUnchargesWithoutControllerFeedback) {
   EXPECT_EQ(guard.pending_cost(), 0u);
 }
 
+TEST(GuardAdmit, CountCapComesFirstAndSharesThePressure) {
+  guard::Options opts;
+  opts.cost_budget = 100;
+  opts.adaptive = false;
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics, /*max_flights=*/2, kWorkers,
+                     kRetryAfterMs);
+
+  // One pressure number over both limits: 1 of 2 flights outweighs 10 of
+  // 100 cost units.
+  ASSERT_TRUE(guard.admit("a", closed_form_query(), 10).admit);
+  EXPECT_DOUBLE_EQ(guard.pressure(), 0.5);
+  ASSERT_TRUE(guard.admit("b", closed_form_query(), 10).admit);
+  EXPECT_DOUBLE_EQ(guard.pressure(), 1.0);
+
+  // The cap counts flights, whatever they cost, and sheds with the
+  // drain-rate hint (the fallback constant before any sample).
+  const guard::Guard::Decision d = guard.admit("c", closed_form_query(), 1);
+  EXPECT_FALSE(d.admit);
+  EXPECT_EQ(d.reason, "admission queue full");
+  EXPECT_EQ(d.retry_after_ms, 50u);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_admitted_total"), 2u);
+
+  guard.complete("a", 10);
+  EXPECT_EQ(guard.pending_flights(), 1u);
+  EXPECT_TRUE(guard.admit("c", closed_form_query(), 1).admit);
+}
+
 TEST(GuardClients, IdleClientsEvictedPastTheCap) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.max_clients = 2;
   opts.adaptive = false;
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
 
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
   guard.complete("a", 1);
@@ -242,11 +273,10 @@ TEST(GuardClients, IdleClientsEvictedPastTheCap) {
 
 TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;  // pin the limit so pressure is exact
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
 
   // 80/100 pending puts pressure past the 0.75 default (a closed-form
   // filler, so the brownout counter below counts only the victim)...
@@ -267,19 +297,35 @@ TEST(GuardBrownout, EstimatesDegradeAbovePressureThreshold) {
 
 TEST(GuardBrownout, KillSwitchAndLowPressureServeTheFullSweep) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
   opts.brownout = false;  // kill switch
   scope::Registry metrics;
-  guard::Guard off(opts, metrics);
+  guard::Guard off(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   ASSERT_TRUE(off.admit("a", closed_form_query(), 80).admit);
   EXPECT_FALSE(off.admit("b", estimate_query(1024, 8), 8).brownout);
 
   opts.brownout = true;
-  guard::Guard calm(opts, metrics);
+  guard::Guard calm(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   // Pressure 0.08 after charging: nowhere near the threshold.
   EXPECT_FALSE(calm.admit("a", estimate_query(1024, 8), 8).brownout);
+}
+
+TEST(GuardBrownout, LoneRequestOnAnIdleGuardKeepsItsFullSweep) {
+  guard::Options opts;
+  opts.cost_budget = 100;
+  opts.adaptive = false;
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
+
+  // 0.8 of the limit, past the 0.75 threshold once charged — but nothing
+  // else is pending.  An idle executor serves a lone request in full, as
+  // the backlog check admits it whatever it costs.
+  const guard::Guard::Decision d =
+      guard.admit("a", estimate_query(1024, 8), 80);
+  ASSERT_TRUE(d.admit);
+  EXPECT_FALSE(d.brownout);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_brownouts_total"), 0u);
 }
 
 // ------------------------------------------------------------------------ AIMD
@@ -289,13 +335,12 @@ TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   scope::Registry metrics;  // stands in for the executor's registry
   scope::Histogram& hist = metrics.histogram("netemu_execute_us");
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.target_p95_ms = 10.0;
   opts.adjust_interval_ms = 100;
   opts.adjust_min_samples = 8;
   opts.clock_ms = [&now] { return now; };
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   EXPECT_EQ(guard.effective_limit(), 100u);
 
   const auto tick = [&] {
@@ -323,14 +368,13 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   scope::Registry metrics;
   scope::Histogram& hist = metrics.histogram("netemu_execute_us");
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adjust_interval_ms = 100;
   opts.adjust_min_samples = 8;
   opts.clock_ms = [&now] { return now; };
 
   {
-    guard::Guard guard(opts, metrics);
+    guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
     now = 150;
     guard.admit("a", closed_form_query(), 1);
     guard.complete("a", 1);  // baseline
@@ -342,7 +386,7 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   }
   {
     opts.adaptive = false;  // kill switch pins the limit outright
-    guard::Guard guard(opts, metrics);
+    guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
     for (int i = 0; i < 20; ++i) hist.observe(90000.0);
     now += 1000;
     guard.admit("a", closed_form_query(), 1);
@@ -356,11 +400,10 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
 
 TEST(GuardJson, HealthBlockCarriesTheDials) {
   guard::Options opts;
-  opts.enabled = true;
   opts.cost_budget = 100;
   opts.adaptive = false;
   scope::Registry metrics;
-  guard::Guard guard(opts, metrics);
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   ASSERT_TRUE(guard.admit("a", closed_form_query(), 25).admit);
 
   const Json doc = guard.to_json();
@@ -468,6 +511,44 @@ TEST(FairScheduler, ShedQueuedAnswersEveryParkedTask) {
   EXPECT_EQ(ran.load(), 0);  // run and shed are mutually exclusive
 }
 
+TEST(FairScheduler, DrainedClientsAreForgotten) {
+  // Client ids are per-connection peer tags, so connection churn under
+  // contention must not grow the client map for the life of the process:
+  // a client's queue is erased when it drains.
+  ThreadPool pool(1);
+  guard::FairScheduler sched(pool, {});
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  sched.submit("holder", 1,
+               [&] {
+                 std::unique_lock lock(gate_mutex);
+                 gate_cv.wait(lock, [&] { return gate_open; });
+               },
+               nullptr);
+
+  constexpr int kClients = 10000;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < kClients; ++i) {
+    sched.submit("peer:127.0.0.1:" + std::to_string(i), 1, [&] { ++ran; },
+                 nullptr);
+  }
+  EXPECT_EQ(sched.clients_tracked(), static_cast<std::size_t>(kClients));
+
+  {
+    std::lock_guard lock(gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  // Generous bound: each dispatch erases its client from the front of the
+  // round-robin ring, which is slow under the thread sanitizer.
+  EXPECT_TRUE(eventually([&] { return ran.load() == kClients; }, 120000));
+  EXPECT_TRUE(eventually([&] { return sched.running() == 0; }, 120000));
+  EXPECT_EQ(sched.queued(), 0u);
+  EXPECT_EQ(sched.clients_tracked(), 0u);
+  pool.shutdown();  // no pump may outlive the scheduler, even on a failure
+}
+
 TEST(FairScheduler, PoolRefusalRunsTheShedCallback) {
   ThreadPool pool(1);
   pool.shutdown();  // every submit from here on is rejected
@@ -485,7 +566,6 @@ TEST(ExecutorGuard, ShedResponsesCarryOverloadedAndAHint) {
   QueryExecutor::Options options;
   options.threads = 1;
   options.retry_after_hint_ms = 40;
-  options.guard.enabled = true;
   options.guard.cost_budget = 1;  // one closed-form unit fills the gate
   options.guard.adaptive = false;
   std::mutex gate_mutex;
@@ -523,10 +603,39 @@ TEST(ExecutorGuard, ShedResponsesCarryOverloadedAndAHint) {
   EXPECT_EQ(exec.stats().rejected, 1u);
 }
 
+TEST(ExecutorGuard, WatchdogAbandonmentReleasesTheCharge) {
+  // One charge, one release: the watchdog takes a hung flight out of the
+  // flight map, and its guard charge leaves with it — the stuck compute
+  // may never return.
+  QueryExecutor::Options options;
+  options.threads = 2;
+  options.hang_timeout_ms = 60;
+  options.guard.cost_budget = 1;  // the hung flight alone fills the budget
+  options.guard.adaptive = false;
+  auto gate = std::make_shared<std::promise<void>>();
+  const std::shared_future<void> gate_future = gate->get_future().share();
+  options.compute = [gate_future](const Query& q, const CancelToken&) {
+    if (q.n == 64) gate_future.wait();  // ignores its token
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor exec(options);
+
+  const Response hung = exec.execute(estimate_query(64, 1));
+  EXPECT_NE(hung.error.find("hung"), std::string::npos) << hung.error;
+  EXPECT_EQ(exec.overload_guard()->pending_cost(), 0u);
+
+  // The next distinct query is admitted, not shed with "cost budget full".
+  const Response next = exec.execute(estimate_query(65, 1));
+  EXPECT_TRUE(next.ok) << next.error;
+
+  gate->set_value();
+}
+
 TEST(ExecutorGuard, BrownoutAnswersDegradedAndIsNeverCached) {
   QueryExecutor::Options options;
   options.threads = 2;
-  options.guard.enabled = true;
   options.guard.cost_budget = 12;
   options.guard.adaptive = false;
   std::mutex gate_mutex;

@@ -701,3 +701,44 @@ TEST(FleetScatter, AllBackendsSheddingFailsGracefully) {
   EXPECT_EQ(doc["scattered"].as_int(-1), 2);
   EXPECT_EQ(door.scatter_stats().failed, 1u);
 }
+
+TEST(FleetScatter, DeadlineExpiriesLeaveHealthyBreakersClosed) {
+  // A request's own deadline running out says nothing about the backend:
+  // the caller gets the deadline error, and the breaker counts the expiry
+  // as neither a success nor a failure.
+  TestBackend backends[2];
+  std::vector<std::uint16_t> ports;
+  for (auto& b : backends) ports.push_back(b.start());
+  FleetRouter router(fast_router_options(ports));
+  FleetFrontDoor::Options door_options;
+  door_options.scatter.min_trials = 4;
+  door_options.scatter.max_ways = 2;
+  door_options.scatter.straggler_factor = 0;
+  door_options.scatter.sub_deadline_ms = 1;
+  FleetFrontDoor door(router, door_options);
+
+  bool shutdown = false;
+  std::string error;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    const Json doc = Json::parse(
+        door.handle_line(estimate_query(8, seed, 4096).dump(), &shutdown),
+        &error);
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_FALSE(doc["ok"].as_bool(true)) << doc.dump();
+  }
+
+  Json bandwidth = Json::object();
+  bandwidth["op"] = "bandwidth";
+  bandwidth["family"] = "Mesh";
+  bandwidth["k"] = 2;
+  bandwidth["n"] = 256;
+  ok_doc(door.handle_line(bandwidth.dump(), &shutdown));
+
+  const Json fleet =
+      ok_doc(door.handle_line(R"({"op":"fleet"})", &shutdown))["result"];
+  ASSERT_EQ(fleet["backends"].items().size(), 2u) << fleet.dump();
+  for (const Json& b : fleet["backends"].items()) {
+    EXPECT_EQ(b["state"].as_string(), "closed") << fleet.dump();
+    EXPECT_EQ(b["transport_failures"].as_uint(99), 0u) << fleet.dump();
+  }
+}

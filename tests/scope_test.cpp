@@ -642,7 +642,6 @@ bool prometheus_has(const std::string& text, const std::string& name,
 
 TEST(ScopeIsolation, TwoExecutorsCountApart) {
   QueryExecutor::Options options = traced_executor_options(false, "", nullptr);
-  options.guard.enabled = true;
   options.guard.adaptive = false;
   QueryExecutor a(options);
   QueryExecutor b(options);
@@ -760,8 +759,22 @@ TEST(ScopeIsolation, StatsOpPrometheusAndTypedReadAgree) {
     EXPECT_TRUE(prometheus_has(text, row.metric, row.typed)) << row.metric;
   }
   EXPECT_EQ(stats["browned_out"].as_uint(), typed.browned_out);
+  // The cache block's hits and misses are the executor's two counters,
+  // counted once at the request's probe; the failed compute's stale-value
+  // lookup is not a request and counts nowhere.
+  const Json health = Json::parse(
+      handle_request_line(R"({"op":"health"})", exec))["result"];
+  for (const Json& block : {stats["cache"], health["cache"]}) {
+    EXPECT_EQ(block["hits"].as_uint(), typed.cache_hits);
+    EXPECT_EQ(block["misses"].as_uint(), typed.cache_misses);
+  }
+  EXPECT_EQ(counters["netemu_cache_misses_total"].as_uint(),
+            typed.cache_misses);
+  EXPECT_TRUE(prometheus_has(text, "netemu_cache_misses_total",
+                             typed.cache_misses));
   EXPECT_EQ(typed.requests, 4u);
   EXPECT_EQ(typed.cache_hits, 1u);
+  EXPECT_EQ(typed.cache_misses, 3u);
   EXPECT_EQ(typed.computed, 2u);
   EXPECT_EQ(typed.errors, 1u);
 }

@@ -301,15 +301,6 @@ TEST(ResultCache, PutOverwritesInPlace) {
   EXPECT_EQ(cache.get(1).value(), "new");
 }
 
-TEST(ResultCache, HitMissCounters) {
-  ResultCache cache(2);
-  cache.put(1, "one");
-  cache.get(1);
-  cache.get(7);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
 TEST(ResultCache, DiskRoundTrip) {
   const std::string path =
       testing::TempDir() + "netemu_cache_roundtrip.json";
@@ -444,7 +435,6 @@ TEST(Executor, RequestAtFlightEndHitsTheCacheNotANewCompute) {
 
   QueryExecutor::Options options;
   options.threads = 1;
-  options.guard.enabled = true;
   options.guard.adaptive = false;
   options.guard.clock_ms = [&]() -> std::uint64_t {
     if (leader_computed.load() && !fired.exchange(true)) {
@@ -454,8 +444,9 @@ TEST(Executor, RequestAtFlightEndHitsTheCacheNotANewCompute) {
         follower_response = exec->execute(q);
         answered->set_value();
       });
-      // A miss would block on the guard lock this hook runs under: give up
-      // waiting after 2 s and let the leader finish.
+      // The hook runs under the executor lock and the guard lock, and a
+      // miss would block on both: give up waiting after 2 s and let the
+      // leader finish.
       done.wait_for(std::chrono::seconds(2));
     }
     return 0;
