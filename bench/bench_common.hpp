@@ -22,8 +22,7 @@
 namespace netemu::bench {
 
 // ------------------------------------------------------- backend processes
-// The soak harnesses (fleet_soak, drain_soak, overload_soak) and
-// scatter_speedup all spawn real netemu_serve child processes; the
+// soak and scatter_speedup spawn real netemu_serve child processes; the
 // fork/exec + listen-line handshake lives here so they share one copy.
 
 /// Default path of the netemu_serve binary for a bench living in

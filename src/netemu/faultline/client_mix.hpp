@@ -1,6 +1,6 @@
 #pragma once
 // ClientMix: a deterministic population of client behaviour profiles for
-// overload drills (bench/overload_soak and the guard tests).
+// overload drills (`bench/soak --scenario overload` and the guard tests).
 //
 // An overload storm is only meaningful when the traffic is heterogeneous:
 // the guard's promise is that WELL-BEHAVED clients keep their fair share

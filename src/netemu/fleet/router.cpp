@@ -73,6 +73,10 @@ struct FleetRouter::Race : std::enable_shared_from_this<Race> {
   /// untraced callers, because the cancel verb that reclaims the losing
   /// backend's compute is keyed by it.
   const std::string& round_line();
+  /// What is left of the request's deadline budget (0: none set).  Every
+  /// exchange of the race, hedge legs included, spends the one budget, so
+  /// a caller waits about deadline_ms however many backends are tried.
+  std::uint64_t budget_left_ms() const;
 
   FleetRouter& router;
   Reactor& reactor;
@@ -81,7 +85,7 @@ struct FleetRouter::Race : std::enable_shared_from_this<Race> {
   Json doc;
   std::string line;        ///< doc, dumped once
   std::string hedge_line;  ///< doc plus a minted trace (untraced + hedging)
-  std::uint64_t budget_ms = 0;
+  std::uint64_t budget_ms = 0;  ///< the request's deadline_ms (0: none)
   std::vector<std::size_t> order;
   std::size_t pos = 0;
   const std::chrono::steady_clock::time_point t0 =
@@ -473,9 +477,19 @@ void FleetRouter::Race::next_round() {
   }
 }
 
+std::uint64_t FleetRouter::Race::budget_left_ms() const {
+  if (budget_ms == 0) return 0;
+  const auto spent = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  // At least 1 ms: 0 would mean "no budget" to the exchange.
+  return spent >= budget_ms ? 1 : budget_ms - spent;
+}
+
 void FleetRouter::Race::launch(std::size_t index) {
   ++legs_running;
-  router.exchange(reactor, index, round_line(), budget_ms, tid,
+  router.exchange(reactor, index, round_line(), budget_left_ms(), tid,
                   [self = shared_from_this(), of_round = round,
                    index](Client::RequestOutcome a) {
                     self->on_leg(of_round, index, std::move(a));
@@ -579,6 +593,13 @@ void FleetRouter::Race::end_round(Client::RequestOutcome a,
   } else {
     last_error =
         router.ids_[responder] + ": " + request_failure_name(a.failure);
+  }
+  if (a.failure == RequestFailure::kDeadline) {
+    // The budget is spent, so a next round would start with none: the race
+    // ends with the deadline error, not with an earlier round's shed.
+    last_shed.doc.reset();
+    give_up();
+    return;
   }
   // Transport failure or shed: fail over to the next rendezvous choice.
   next_round();

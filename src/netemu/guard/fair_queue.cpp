@@ -1,11 +1,14 @@
 #include "netemu/guard/fair_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace netemu::guard {
 
 namespace {
+// Deficit added per client per round, in cost units.
+constexpr std::uint64_t kQuantum = 64;
 // A single queued task never needs more deficit than this many quanta, no
 // matter its admission cost: DRR fairness only needs relative order, and an
 // unbounded sched_cost would make the round loop spin for thousands of
@@ -13,22 +16,17 @@ namespace {
 constexpr std::uint64_t kMaxQuantaPerTask = 16;
 }  // namespace
 
-FairScheduler::FairScheduler(ThreadPool& pool, Options options)
-    : pool_(pool), options_(options) {
-  if (options_.max_concurrent == 0) {
-    options_.max_concurrent = std::max<std::size_t>(1, pool_.size());
-  }
-  if (options_.quantum == 0) options_.quantum = 1;
-}
+FairScheduler::FairScheduler(ThreadPool& pool)
+    : pool_(pool), slots_(std::max<std::size_t>(1, pool.size())) {}
 
 bool FairScheduler::submit(const std::string& client, std::uint64_t cost,
                            std::function<void()> run,
-                           std::function<void()> shed, double weight) {
+                           std::function<void()> shed) {
   std::vector<Task> ready;
   bool fast = false;
   {
     std::lock_guard lock(mutex_);
-    if (queued_ == 0 && running_ < options_.max_concurrent) {
+    if (queued_ == 0 && running_ < slots_) {
       // Uncontended fast path: nothing queued and a slot free, so DRR
       // ordering is vacuous — skip the per-client queue machinery
       // entirely.  This keeps the guard near-free on an idle service.
@@ -36,13 +34,16 @@ bool FairScheduler::submit(const std::string& client, std::uint64_t cost,
       fast = true;
     } else {
       const auto [it, fresh] = clients_.try_emplace(client);
-      if (fresh) ring_.push_back(client);
+      if (fresh) {
+        ring_.push_back(client);
+        // A position past the last client meets the newcomer first, as it
+        // would in an indexed ring.
+        if (ring_pos_ == ring_.end()) ring_pos_ = std::prev(ring_.end());
+      }
       ClientQueue& q = it->second;
-      q.weight = std::max(0.1, weight);
       Task t;
-      t.sched_cost =
-          std::min(std::max<std::uint64_t>(1, cost),
-                   options_.quantum * kMaxQuantaPerTask);
+      t.sched_cost = std::min(std::max<std::uint64_t>(1, cost),
+                              kQuantum * kMaxQuantaPerTask);
       t.run = std::move(run);
       t.shed = std::move(shed);
       q.tasks.push_back(std::move(t));
@@ -64,30 +65,29 @@ bool FairScheduler::submit(const std::string& client, std::uint64_t cost,
 
 void FairScheduler::pump_locked(std::vector<Task>& out) {
   // Deficit round robin over the ring of clients with queued tasks: each
-  // visit earns the client quantum x weight; it dispatches from its FIFO
-  // while the head task fits the deficit.  A drained client leaves the ring
+  // visit earns the client one quantum; it dispatches from its FIFO while
+  // the head task fits the deficit.  A drained client leaves the ring
   // and the map (forfeiting its deficit, so idleness is not bankable, and
   // costing nothing once gone — client ids are per-connection tags).
   // running_ is bumped as each task moves to `out`, so it alone tracks the
   // claimed slots.
-  while (running_ < options_.max_concurrent && !ring_.empty()) {
-    if (ring_pos_ >= ring_.size()) ring_pos_ = 0;
-    const auto it = clients_.find(ring_[ring_pos_]);
+  while (running_ < slots_ && !ring_.empty()) {
+    if (ring_pos_ == ring_.end()) ring_pos_ = ring_.begin();
+    const auto it = clients_.find(*ring_pos_);
     ClientQueue& q = it->second;
-    q.deficit += static_cast<double>(options_.quantum) * q.weight;
-    while (!q.tasks.empty() &&
-           static_cast<double>(q.tasks.front().sched_cost) <= q.deficit &&
-           running_ < options_.max_concurrent) {
+    q.deficit += kQuantum;
+    while (!q.tasks.empty() && q.tasks.front().sched_cost <= q.deficit &&
+           running_ < slots_) {
       Task t = std::move(q.tasks.front());
       q.tasks.pop_front();
       --queued_;
-      q.deficit -= static_cast<double>(t.sched_cost);
+      q.deficit -= t.sched_cost;
       ++running_;
       out.push_back(std::move(t));
     }
     if (q.tasks.empty()) {
       clients_.erase(it);
-      ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(ring_pos_));
+      ring_pos_ = ring_.erase(ring_pos_);
     } else {
       ++ring_pos_;
     }
@@ -129,7 +129,7 @@ std::size_t FairScheduler::shed_queued() {
     }
     clients_.clear();
     ring_.clear();
-    ring_pos_ = 0;
+    ring_pos_ = ring_.end();
     queued_ = 0;
   }
   for (auto& shed : sheds) {

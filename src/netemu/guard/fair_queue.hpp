@@ -1,5 +1,5 @@
 #pragma once
-// Weighted deficit-round-robin dispatch across per-client queues.
+// Deficit-round-robin dispatch across per-client queues.
 //
 // The thread pool's FIFO is fair between tasks, not between clients: a
 // client that enqueues 500 tasks owns the next 500 slots.  FairScheduler
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -24,22 +25,15 @@ namespace netemu::guard {
 
 class FairScheduler {
  public:
-  struct Options {
-    /// Tasks handed to the pool at once.  0 = pool thread count: every
-    /// worker stays busy, and the DRR choice happens at each completion.
-    std::size_t max_concurrent = 0;
-    /// Deficit added per client per round, in cost units.
-    std::uint64_t quantum = 64;
-  };
-
-  FairScheduler(ThreadPool& pool, Options options);
+  /// Hands the pool as many tasks at once as it has threads: every worker
+  /// stays busy, and the DRR choice happens at each completion.
+  explicit FairScheduler(ThreadPool& pool);
 
   /// Queue one task for `client`.  `run` executes on a pool thread; `shed`
   /// runs (inline, at most once, never both) if shed_queued() drops the
   /// task before it starts or the pool refuses it at dispatch (shutdown).
   bool submit(const std::string& client, std::uint64_t cost,
-              std::function<void()> run, std::function<void()> shed,
-              double weight = 1.0);
+              std::function<void()> run, std::function<void()> shed);
 
   /// Drop every queued-but-unstarted task, running its shed callback
   /// inline.  Returns how many were dropped.  Used on drain: tasks already
@@ -60,8 +54,7 @@ class FairScheduler {
   /// Exists while it has queued tasks, and is then a member of ring_.
   struct ClientQueue {
     std::deque<Task> tasks;
-    double deficit = 0.0;
-    double weight = 1.0;
+    std::uint64_t deficit = 0;
   };
 
   void pump_locked(std::vector<Task>& out);
@@ -69,12 +62,15 @@ class FairScheduler {
   void dispatch_one(Task&& task);
 
   ThreadPool& pool_;
-  Options options_;
+  const std::size_t slots_;  ///< tasks handed to the pool at once
 
   mutable std::mutex mutex_;
   std::unordered_map<std::string, ClientQueue> clients_;
-  std::vector<std::string> ring_;  ///< clients_' keys, round-robin order
-  std::size_t ring_pos_ = 0;
+  /// clients_' keys in round-robin order: a list, so a drained client
+  /// leaves from the middle in O(1) and erase yields the next one.
+  std::list<std::string> ring_;
+  /// The next client to visit; end() wraps to the front.
+  std::list<std::string>::iterator ring_pos_ = ring_.end();
   std::size_t queued_ = 0;
   std::size_t running_ = 0;
 };

@@ -45,7 +45,7 @@ QueryExecutor::QueryExecutor(Options options)
       pool_(options_.threads),
       guard_(admission_options(options_), metrics_, options_.max_queue,
              pool_.size(), options_.retry_after_hint_ms),
-      sched_(pool_, guard::FairScheduler::Options{}) {
+      sched_(pool_) {
   if (!options_.compute) {
     // Pass the executor's own pool down so estimate trials run concurrently;
     // measure_throughput's collaborative loop makes that safe even though

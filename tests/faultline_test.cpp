@@ -713,7 +713,7 @@ TEST(ThreadPoolFaults, EscapingTaskExceptionIsSwallowedAndCounted) {
 
 // ------------------------------------------------------------ mini soak --
 
-// A compressed version of bench/chaos_soak: a few seeds, every fault kind
+// A compressed `bench/soak --scenario faults`: a few seeds, every fault kind
 // enabled, retrying clients, response-content verification (catches lost,
 // duplicated, or cross-wired responses), and a post-crash cache reload.
 TEST(ChaosSoak, MultiSeedRoundTripsLoseNothing) {

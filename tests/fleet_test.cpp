@@ -554,6 +554,47 @@ TEST(FleetRouter, DeadlineExpiryWhileHalfOpenLeavesTheBackendRecoverable) {
   revived.stop();
 }
 
+TEST(FleetRouter, ARaceSpendsOneDeadlineBudget) {
+  // Both backends hold the query past its deadline.  Each round used to get
+  // the whole budget, so the caller waited backends x deadline_ms.
+  constexpr double kSlowN = 9501;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::vector<std::unique_ptr<QueryExecutor>> executors;
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<std::uint16_t> ports;
+  for (int i = 0; i < 2; ++i) {
+    QueryExecutor::Options eo;
+    eo.compute = [opened](const Query& q, const CancelToken& token) {
+      if (q.n == kSlowN) opened.wait_for(std::chrono::seconds(5));
+      return plan_query(q, nullptr, token);
+    };
+    executors.push_back(std::make_unique<QueryExecutor>(std::move(eo)));
+    Server::Options so;
+    so.port = 0;
+    servers.push_back(std::make_unique<Server>(*executors.back(), so));
+    std::string error;
+    ASSERT_TRUE(servers.back()->start(&error)) << error;
+    ports.push_back(servers.back()->port());
+  }
+  FleetRouter router(fast_router_options(ports));
+
+  Json late = bandwidth_query(kSlowN);
+  late["deadline_ms"] = 100;
+  const auto start = std::chrono::steady_clock::now();
+  const FleetRouter::Result r = router.request(late);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("deadline budget exhausted"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(r.backends_tried, 1);  // no failover on a spent budget
+  EXPECT_LT(ms, 200);              // within 2 x deadline_ms
+  gate.set_value();
+  for (auto& server : servers) server->stop();
+}
+
 TEST(FleetRouter, ServerSideErrorsAreAuthoritativeNoFailover) {
   TestBackend a, b;
   FleetRouter router(fast_router_options({a.start(), b.start()}));
