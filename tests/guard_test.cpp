@@ -474,6 +474,51 @@ TEST(FairScheduler, DrrInterleavesAFloodWithAMouse) {
   EXPECT_EQ(order[1], "mouse") << order[0] << order[1] << order[2];
 }
 
+TEST(FairScheduler, ANewcomerAfterTheLastVisitGoesBeforeTheWrap) {
+  // Round-robin order at the end of the ring: a client that arrives after
+  // the last client's visit is visited next, before the ring wraps to the
+  // front (so "a" cannot run twice in a row past "b").
+  ThreadPool pool(1);  // strictly serial: dispatch order is observable
+  guard::FairScheduler sched(pool);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int stage = 0;
+  std::vector<std::string> order;
+  const auto reach = [&](int s) {
+    {
+      std::lock_guard lock(mutex);
+      stage = s;
+    }
+    cv.notify_all();
+  };
+  const auto await = [&](int s) {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return stage >= s; });
+  };
+  const auto record = [&](const std::string& who) {
+    std::lock_guard lock(mutex);
+    order.push_back(who);
+  };
+  sched.submit("holder", 1, [&] { await(1); }, nullptr);
+  sched.submit("a", 1,
+               [&] {
+                 record("a1");
+                 reach(2);
+                 await(3);
+               },
+               nullptr);
+  sched.submit("a", 1, [&] { record("a2"); }, nullptr);
+  reach(1);
+  await(2);  // a1 runs: "a" still queues a2 and was the last client visited
+  sched.submit("b", 1, [&] { record("b"); }, nullptr);
+  reach(3);
+  ASSERT_TRUE(eventually([&] { return sched.queued() == 0; }));
+  EXPECT_TRUE(eventually([&] { return sched.running() == 0; }));
+  pool.shutdown();  // no pump may outlive the scheduler
+  std::lock_guard lock(mutex);
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b", "a2"}));
+}
+
 TEST(FairScheduler, ShedQueuedAnswersEveryParkedTask) {
   ThreadPool pool(1);
   guard::FairScheduler sched(pool);
