@@ -59,6 +59,7 @@
 #include "netemu/fleet/router.hpp"
 #include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
+#include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/cli.hpp"
 #include "netemu/util/json.hpp"
@@ -243,13 +244,15 @@ struct Stack {
     options.port = 0;
     if (!fleet) {
       executors.push_back(std::make_unique<QueryExecutor>(echo_options()));
-      server = std::make_unique<Server>(*executors.back(), options);
+      server = std::make_unique<Server>(
+          executor_line_handler(*executors.back()), options);
       return server->start(error);
     }
     FleetRouter::Options router_options;
     for (int i = 0; i < 2; ++i) {
       executors.push_back(std::make_unique<QueryExecutor>(echo_options()));
-      backends.push_back(std::make_unique<Server>(*executors.back(), options));
+      backends.push_back(std::make_unique<Server>(
+          executor_line_handler(*executors.back()), options));
       if (!backends.back()->start(error)) return false;
       router_options.backends.push_back({backends.back()->port(), ""});
     }
@@ -355,8 +358,8 @@ StormResult run_storm(bool fleet, std::size_t storm_conns, double hot_seconds,
   sampler.join();
 
   // --- storm: open and verify N connections, then hold them.  Every
-  // server thread (shards, offload pool, executor workers) exists by now,
-  // and the latency clients have been joined. ---
+  // server thread (shards, executor workers) exists by now, and the
+  // latency clients have been joined. ---
   result.threads_before = thread_count();
   std::vector<RawConn> parked;
   parked.reserve(storm_conns);

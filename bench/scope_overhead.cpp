@@ -52,6 +52,7 @@
 #include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/service/executor.hpp"
+#include "netemu/service/protocol.hpp"
 #include "netemu/service/query.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/topology/generators.hpp"
@@ -129,7 +130,8 @@ struct ExecWorkload {
   bool up = false;
 
   ExecWorkload()
-      : executor(make_options()), server(executor, server_options()) {
+      : executor(make_options()),
+        server(executor_line_handler(executor), server_options()) {
     Query q;
     q.kind = QueryKind::kBandwidth;
     q.family = Family::kButterfly;

@@ -34,6 +34,7 @@
 #include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/service/result_cache.hpp"
+#include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/cli.hpp"
 #include "netemu/util/json.hpp"
@@ -664,7 +665,8 @@ SeedRun run_faults(const Config& config, std::uint64_t seed) {
     exec_options.cache_file = cache_file;
     exec_options.faults = &injector;
     QueryExecutor executor(std::move(exec_options));
-    Server server(executor, {.port = 0, .faults = &injector});
+    Server server(executor_line_handler(executor),
+                  {.port = 0, .faults = &injector});
     if (!server.start(&out.error)) return out;
 
     std::vector<std::thread> threads;

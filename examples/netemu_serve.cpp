@@ -9,6 +9,13 @@
 //   $ netemu_serve --io-threads 4      # reactor shards (0 = hw threads)
 //   $ netemu_serve --guard-budget 512  # admission cost budget (docs/GUARD.md)
 //
+// Threads: the acceptor, the --io-threads reactor shards, the executor's
+// --threads workers and its watchdog.  Every line reaches its shard's
+// handler: the fast path and the control ops answer there, and a query goes
+// straight to the admission guard and answers from the worker that computes
+// it, so no thread waits on a flight.  --offload-threads is accepted for a
+// uniform daemon command line and ignored.
+//
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
 // Signals and the drain op run the graceful drain (docs/LIFECYCLE.md): stop
 // accepting, shed new flights, give running work up to half of --drain-ms
@@ -29,6 +36,7 @@
 #include "netemu/faultline/fault_plan.hpp"
 #include "netemu/faultline/injector.hpp"
 #include "netemu/scope/flight_recorder.hpp"
+#include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/cli.hpp"
 
@@ -146,9 +154,7 @@ int main(int argc, char** argv) {
   server_options.faults = injector.get();
   server_options.io_threads =
       static_cast<std::size_t>(cli.get_int("io-threads", 0));
-  server_options.offload_threads =
-      static_cast<std::size_t>(cli.get_int("offload-threads", 0));
-  Server server(executor, server_options);
+  Server server(executor_line_handler(executor), server_options);
   std::string error;
   if (!server.start(&error)) {
     std::cerr << "netemu_serve: " << error << "\n";

@@ -437,11 +437,8 @@ void FleetRouter::race(Reactor& reactor, Json request_doc, std::uint64_t key,
 const std::string& FleetRouter::Race::round_line() {
   if (!hedging || tid != 0) return line;
   if (hedge_line.empty()) {
-    // Json copies share structure, so mint onto a shallow rebuild instead
-    // of mutating a copy of the caller's document.
     hedge_tid = scope::mint_trace_id();
-    Json hedge_doc = Json::object();
-    for (const auto& [k, v] : std::as_const(doc).fields()) hedge_doc[k] = v;
+    Json hedge_doc = doc;
     hedge_doc["trace"] = hex64(hedge_tid);
     hedge_line = hedge_doc.dump();
   }

@@ -111,18 +111,13 @@ bool Scatterer::eligible(const Query& q) const {
 
 void Scatterer::Sweep::dispatch(std::size_t i, bool is_retry) {
   Sub& sub = subs[i];
-  Json doc;
+  Json doc = sub.doc;
   std::optional<std::size_t> exclude;
   if (is_retry) {
     // The retry is the same range under its OWN trace id, steered away
-    // from the backend presumed stuck.  Rebuilt field by field: Json
-    // copies share structure with sub.doc.
-    doc = Json::object();
-    for (const auto& [k, v] : std::as_const(sub.doc).fields()) doc[k] = v;
+    // from the backend presumed stuck.
     doc["trace"] = hex64(sub.retry_trace_id);
     exclude = sub.presumed;
-  } else {
-    doc = sub.doc;
   }
   sc.router_.race(reactor, std::move(doc), sub.key, exclude,
                   [self = shared_from_this(), i,
@@ -351,10 +346,7 @@ void Scatterer::scatter(Reactor& reactor, const Json& request,
     Sweep::Sub& sub = sweep->subs[i];
     sub.lo = static_cast<unsigned>(i * trials / ways);
     sub.hi = static_cast<unsigned>((i + 1) * trials / ways);
-    // Rebuild rather than copy-and-mutate: Json copies share structure with
-    // the caller's document.
-    Json doc = Json::object();
-    for (const auto& [k, v] : request.fields()) doc[k] = v;
+    Json doc = request;
     doc["trial_lo"] = sub.lo;
     doc["trial_hi"] = sub.hi;
     // Every sub-query gets its own trace id: the straggler machinery keys

@@ -4,23 +4,22 @@
 // begin_drain keeps its close-the-listener semantics) hands each new
 // connection — made non-blocking, TCP_NODELAY — to a reactor shard chosen
 // round-robin.  Each shard owns its connections exclusively: a Reactor
-// (edge-triggered epoll set, timers, end-of-turn work), an eventfd for
-// cross-thread wakeups, and an inbox (mutex + vectors) through which the
-// acceptor delivers fds and the offload pool delivers completed responses.
-// Nothing else ever touches a connection, so per-connection state needs no
-// locks.
+// (edge-triggered epoll set, timers, end-of-turn work) and a Mailbox (an
+// eventfd plus a locked inbox) through which the acceptor delivers fds and
+// other threads deliver replies.  Nothing else ever touches a connection,
+// so per-connection state needs no locks.
 //
 // Data path per connection:
 //   read until EAGAIN -> incremental '\n' framing into a request queue ->
-//   serve queue head: overlong lines answer protocol_error; over an
-//   executor, the fast path answers inline (ping / cache hits) and the rest
-//   is offloaded to the handler pool; a LineHandler runs on the shard and
-//   replies through the shard's reactor, now or later (at most ONE request
-//   in flight per connection either way — the line protocol promises
-//   in-order responses; its completion carries a per-request generation) ->
-//   responses append to a coalesced output buffer flushed until EAGAIN,
+//   serve queue head: overlong lines answer protocol_error; every other
+//   line goes to the LineHandler on the shard, which replies through a
+//   Reply — inside its own call (taken in the same pass), later on the
+//   shard (posted to the reactor), or from another thread (the mailbox).
+//   At most ONE request is in flight per connection — the line protocol
+//   promises in-order responses; a reply carries a per-request generation
+//   -> responses append to a coalesced output buffer flushed until EAGAIN,
 //   with EPOLLOUT (edge) re-arming the flush.  A connection whose
-//   un-flushed output exceeds max_output_bytes is a slow consumer and is
+//   un-flushed output exceeds kMaxOutputBytes is a slow consumer and is
 //   disconnected (counted) instead of growing the heap.
 //
 // Fault injection (chaos tests) fires on every non-blocking read/write:
@@ -42,6 +41,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -52,13 +52,29 @@
 #include "netemu/service/protocol.hpp"
 #include "netemu/service/reactor.hpp"
 #include "netemu/service/server.hpp"
-#include "netemu/util/thread_pool.hpp"
 
 namespace netemu {
 
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+constexpr int kListenBacklog = 256;
+/// Per-connection pending-output cap: a consumer further behind than this
+/// is disconnected (backpressure) instead of buffering unboundedly.
+constexpr std::size_t kMaxOutputBytes = 8u << 20;
+
+/// One reply on its way to a connection.
+struct Completion {
+  int fd = -1;
+  std::uint64_t gen = 0;
+  std::string response;
+  bool shutdown = false;
+};
+
+/// The Mailbox of the shard whose loop runs on this thread (null on every
+/// other thread): a Reply made there needs neither the lock nor a wake.
+thread_local const void* t_shard_mailbox = nullptr;
 
 scope::Gauge& connections_gauge() {
   static scope::Gauge& g = scope::Registry::global().gauge(
@@ -109,7 +125,7 @@ int listen_loopback(const Server::Options& options, std::uint16_t* port,
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     return fail(fd, "bind 127.0.0.1:" + std::to_string(options.port));
   }
-  if (::listen(fd, options.backlog) < 0) return fail(fd, "listen");
+  if (::listen(fd, kListenBacklog) < 0) return fail(fd, "listen");
 
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
@@ -138,6 +154,37 @@ std::string peer_tag(int fd) {
 
 }  // namespace
 
+/// A shard's cross-thread inbox.  Every Reply the shard hands out shares
+/// it, so a reply that outlives the shard — or the Server — still finds a
+/// live mailbox (and eventfd) to be dropped by.
+struct Server::Mailbox {
+  ~Mailbox() {
+    if (wake_fd >= 0) ::close(wake_fd);
+  }
+
+  void wake() {
+    if (wake_pending.exchange(true, std::memory_order_acq_rel)) {
+      return;  // an undrained wake is already in flight
+    }
+    const std::uint64_t one = 1;
+    [[maybe_unused]] ssize_t n =
+        ::write(wake_fd, &one, sizeof(one));  // EAGAIN (full) is fine
+  }
+
+  EventLoop* const loop;  ///< dereferenced only on the shard's own thread
+  const std::size_t shard;
+  const int wake_fd = ::eventfd(0, EFD_NONBLOCK);
+  /// True while an eventfd wake is already pending and undrained —
+  /// producers skip the redundant write syscall (connection storms post
+  /// thousands of inbox items; one wakeup drains them all).
+  std::atomic<bool> wake_pending{false};
+
+  std::mutex mutex;
+  bool closed = false;        ///< stopped: nothing reads this inbox again
+  std::vector<int> incoming;  ///< fds from the acceptor
+  std::vector<Completion> completions;  ///< replies from other threads
+};
+
 class Server::EventLoop {
  public:
   explicit EventLoop(Server& server)
@@ -165,8 +212,8 @@ class Server::EventLoop {
       auto shard = std::make_unique<Shard>();
       shard->index = s;
       shard->reactor = std::make_unique<Reactor>();
-      shard->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-      if (shard->reactor->fd() < 0 || shard->wake_fd < 0) {
+      shard->mailbox = std::make_shared<Mailbox>(this, s);
+      if (shard->reactor->fd() < 0 || shard->mailbox->wake_fd < 0) {
         if (errno_out) *errno_out = errno;
         if (error) {
           *error = std::string(shard->reactor->fd() < 0 ? "epoll_create1"
@@ -179,8 +226,9 @@ class Server::EventLoop {
       }
       epoll_event ev{};
       ev.events = EPOLLIN;
-      ev.data.fd = shard->wake_fd;
-      ::epoll_ctl(shard->reactor->fd(), EPOLL_CTL_ADD, shard->wake_fd, &ev);
+      ev.data.fd = shard->mailbox->wake_fd;
+      ::epoll_ctl(shard->reactor->fd(), EPOLL_CTL_ADD, shard->mailbox->wake_fd,
+                  &ev);
       // Per-shard loop histogram: a hot or stalled shard (a fault-injected
       // sleep, a burst of fast-path answers) shows up as its own tail.
       shard->loop_us = &scope::Registry::global().histogram(
@@ -188,15 +236,6 @@ class Server::EventLoop {
           "Event-loop iteration time (work, not epoll_wait idle) on shard " +
               std::to_string(s));
       shards_.push_back(std::move(shard));
-    }
-
-    if (server_.executor_) {
-      const std::size_t offload =
-          options_.offload_threads != 0
-              ? options_.offload_threads
-              : std::max<std::size_t>(8,
-                                      2 * std::thread::hardware_concurrency());
-      offload_pool_ = std::make_unique<ThreadPool>(offload);
     }
 
     stopping_.store(false);
@@ -226,40 +265,47 @@ class Server::EventLoop {
     if (accept_thread_.joinable()) accept_thread_.join();
     for (auto& shard : shards_) {
       if (shard->thread.joinable()) {
-        wake(*shard);  // stopping_ is set; the loop exits on wake
+        shard->mailbox->wake();  // stopping_ is set; the loop exits on wake
         shard->thread.join();
       }
     }
-    // Handlers still running on the pool post completions into inboxes that
-    // no shard will read again; they are dropped when the shard (and its
-    // queued strings) are destroyed below.
-    if (offload_pool_) offload_pool_->shutdown();
     for (auto& shard : shards_) {
+      // Close the mailbox first: a reply from another thread (a compute
+      // finishing now, or after the Server is gone) is dropped from here
+      // on.  Accepted fds the shard never got to register close with it.
+      std::vector<int> incoming;
+      {
+        std::lock_guard lock(shard->mailbox->mutex);
+        shard->mailbox->closed = true;
+        incoming.swap(shard->mailbox->incoming);
+        shard->mailbox->completions.clear();
+      }
+      for (const int fd : incoming) ::close(fd);
       for (auto& [fd, conn] : shard->conns) {
         ::close(fd);
         connections_gauge().add(-1.0);
       }
       shard->conns.clear();
-      // Accepted fds the shard never got to register.
-      for (const int fd : shard->incoming) ::close(fd);
-      shard->incoming.clear();
-      if (shard->wake_fd >= 0) ::close(shard->wake_fd);
       // Last: handlers' state on the shard (backend connections, pending
       // replies) goes with its reactor.
       shard->reactor.reset();
     }
   }
 
-  /// Server::Reply's delivery: on the connection's shard, at the end of
-  /// the current turn (a handler may reply from inside its own call).
-  void post_reply(std::size_t shard_index, int fd, std::uint64_t gen,
-                  std::string response, bool shutdown) {
+  /// Server::Reply's delivery on the shard's own thread: inside the
+  /// handler's own call the reply is taken in the same pass
+  /// (process_requests picks it up); later, it lands at the end of the
+  /// current turn.
+  void reply_on_shard(std::size_t shard_index, Completion done) {
     Shard& shard = *shards_[shard_index];
-    shard.reactor->post(
-        [this, &shard, done = Completion{fd, gen, std::move(response),
-                                         shutdown}]() mutable {
-          on_completion(shard, done);
-        });
+    if (done.gen == shard.answering) {
+      shard.answering = 0;
+      shard.answered = std::move(done);
+      return;
+    }
+    shard.reactor->post([this, &shard, done = std::move(done)]() mutable {
+      on_completion(shard, done);
+    });
   }
 
  private:
@@ -287,42 +333,22 @@ class Server::EventLoop {
     bool shutdown_after_flush = false;  ///< handler requested server stop
   };
 
-  struct Completion {
-    int fd = -1;
-    std::uint64_t gen = 0;
-    std::string response;
-    bool shutdown = false;
-  };
-
   struct Shard {
     std::size_t index = 0;
     std::unique_ptr<Reactor> reactor;
-    int wake_fd = -1;
+    std::shared_ptr<Mailbox> mailbox;
     std::thread thread;
     scope::Histogram* loop_us = nullptr;
-
-    std::mutex inbox_mutex;
-    std::vector<int> incoming;  ///< fds from the acceptor
-    std::vector<Completion> completions;
-    /// True while an eventfd wake is already pending and undrained —
-    /// producers skip the redundant write syscall (connection storms post
-    /// thousands of inbox items; one wakeup drains them all).
-    std::atomic<bool> wake_pending{false};
 
     // Owned by the shard thread only (no locks): fd -> connection.
     // unique_ptr keeps Conn* stable across rehashes.
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     std::uint64_t next_gen = 1;  ///< request generations, shard-unique
+    /// The request whose handler is running right now (0: none), and the
+    /// reply it gave from inside its own call.
+    std::uint64_t answering = 0;
+    std::optional<Completion> answered;
   };
-
-  void wake(Shard& shard) {
-    if (shard.wake_pending.exchange(true, std::memory_order_acq_rel)) {
-      return;  // an undrained wake is already in flight
-    }
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(shard.wake_fd, &one, sizeof(one));  // EAGAIN (full) is fine
-  }
 
   void accept_loop() {
     constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
@@ -353,10 +379,10 @@ class Server::EventLoop {
       Shard& shard = *shards_[next_shard];
       next_shard = (next_shard + 1) % shards_.size();
       {
-        std::lock_guard lock(shard.inbox_mutex);
-        shard.incoming.push_back(fd);
+        std::lock_guard lock(shard.mailbox->mutex);
+        shard.mailbox->incoming.push_back(fd);
       }
-      wake(shard);
+      shard.mailbox->wake();
     }
   }
 
@@ -364,12 +390,13 @@ class Server::EventLoop {
     constexpr int kMaxEvents = 128;
     epoll_event events[kMaxEvents];
     Reactor& reactor = *shard.reactor;
+    t_shard_mailbox = shard.mailbox.get();
     while (!stopping_.load()) {
       const int n = ::epoll_wait(reactor.fd(), events, kMaxEvents,
                                  reactor.wait_timeout_ms(-1));
       if (n < 0) {
         if (errno == EINTR) continue;
-        return;  // epoll fd gone: shutting down
+        break;  // epoll fd gone: shutting down
       }
       const auto t0 = SteadyClock::now();
       bool woken = false;
@@ -380,7 +407,7 @@ class Server::EventLoop {
       // Handlers' own fds (backend connections) go to the reactor.
       for (int i = 0; i < n; ++i) {
         if (reactor.dispatch(events[i])) continue;
-        if (events[i].data.fd == shard.wake_fd) {
+        if (events[i].data.fd == shard.mailbox->wake_fd) {
           woken = true;
           continue;
         }
@@ -391,22 +418,23 @@ class Server::EventLoop {
       reactor.run_due();
       shard.loop_us->observe(micros_since(t0));
     }
+    t_shard_mailbox = nullptr;
   }
 
   void drain_inbox(Shard& shard) {
+    Mailbox& box = *shard.mailbox;
     std::uint64_t drained = 0;
-    [[maybe_unused]] ssize_t r =
-        ::read(shard.wake_fd, &drained, sizeof(drained));
+    [[maybe_unused]] ssize_t r = ::read(box.wake_fd, &drained, sizeof(drained));
     // Clear BEFORE swapping: a producer that enqueues after the swap must
     // see the flag down and raise a fresh wake; one that enqueued before it
     // is picked up by this very swap, so its skipped write loses nothing.
-    shard.wake_pending.store(false, std::memory_order_release);
+    box.wake_pending.store(false, std::memory_order_release);
     std::vector<int> incoming;
     std::vector<Completion> completions;
     {
-      std::lock_guard lock(shard.inbox_mutex);
-      incoming.swap(shard.incoming);
-      completions.swap(shard.completions);
+      std::lock_guard lock(box.mutex);
+      incoming.swap(box.incoming);
+      completions.swap(box.completions);
     }
     for (Completion& c : completions) on_completion(shard, c);
     for (const int fd : incoming) register_conn(shard, fd);
@@ -526,9 +554,10 @@ class Server::EventLoop {
     }
   }
 
-  /// Serve queued requests in order.  Stops at the first request handed to
-  /// the handler (one in flight per connection keeps responses ordered).
-  /// False when the connection was closed.
+  /// Serve queued requests in order.  Stops at the first request whose
+  /// reply does not come inside the handler's own call (one in flight per
+  /// connection keeps responses ordered).  False when the connection was
+  /// closed.
   bool process_requests(Shard& shard, int fd, Conn& conn) {
     // Flush threshold inside a pipelined burst: keeps a long run of inline
     // answers from accumulating into one giant buffer (and from tripping
@@ -537,7 +566,7 @@ class Server::EventLoop {
     while (conn.in_flight == 0 && !conn.requests.empty()) {
       if (conn.out.size() - conn.out_pos >= kFlushChunk) {
         if (!try_flush(shard, fd, conn)) return false;
-        if (conn.out.size() - conn.out_pos > options_.max_output_bytes) {
+        if (conn.out.size() - conn.out_pos > kMaxOutputBytes) {
           backpressure_counter().inc();
           close_conn(shard, fd);
           return false;
@@ -554,55 +583,19 @@ class Server::EventLoop {
         conn.requests.pop_front();
         continue;
       }
-      if (server_.executor_) {
-        if (auto fast =
-                try_handle_request_line_fast(req.line, *server_.executor_)) {
-          if (!enqueue_response(shard, fd, conn, std::move(*fast),
-                                req.framed_at)) {
-            return false;
-          }
-          conn.requests.pop_front();
-          continue;
-        }
-      }
       const std::uint64_t gen = shard.next_gen++;
       conn.in_flight = gen;
       conn.in_flight_framed_at = req.framed_at;
       std::string line = std::move(req.line);
       conn.requests.pop_front();
-      if (server_.handler_) {
-        server_.handler_(std::move(line), conn.peer, *shard.reactor,
-                         Reply(this, shard.index, fd, gen));
-        break;  // the reply lands at the end of a turn
-      }
-      Shard* shard_ptr = &shard;
-      QueryExecutor* executor = server_.executor_;
-      // Peer copied by value: the connection may be closed (and its Conn
-      // destroyed) while the handler runs on the offload pool.
-      const bool accepted = offload_pool_->submit(
-          [this, shard_ptr, fd, gen, executor, line = std::move(line),
-           peer = conn.peer] {
-            bool shutdown = false;
-            Completion done;
-            done.fd = fd;
-            done.gen = gen;
-            // Stamp the connection peer as the default client identity so
-            // the guard's per-client fairness works without cooperation.
-            done.response = handle_request_line(line, *executor, &shutdown,
-                                                "peer:" + peer);
-            done.shutdown = shutdown;
-            {
-              std::lock_guard lock(shard_ptr->inbox_mutex);
-              shard_ptr->completions.push_back(std::move(done));
-            }
-            wake(*shard_ptr);
-          });
-      if (!accepted) {
-        // Pool shutting down: the server is stopping; drop the connection.
-        close_conn(shard, fd);
-        return false;
-      }
-      break;  // wait for the completion before serving the next request
+      shard.answering = gen;
+      server_.handler_(std::move(line), conn.peer, *shard.reactor,
+                       Reply(shard.mailbox, fd, gen));
+      shard.answering = 0;
+      if (!shard.answered) break;  // the reply comes later
+      Completion done = std::move(*shard.answered);
+      shard.answered.reset();
+      if (!take_reply(shard, fd, conn, done)) return false;
     }
     return true;
   }
@@ -613,6 +606,15 @@ class Server::EventLoop {
       return;  // connection closed (or fd reused) while the handler ran
     }
     Conn& conn = *it->second;
+    if (!take_reply(shard, done.fd, conn, done)) return;
+    if (!process_requests(shard, done.fd, conn)) return;
+    if (!try_flush(shard, done.fd, conn)) return;
+    finish_if_done(shard, done.fd, conn);
+  }
+
+  /// Answer the connection's in-flight request.  False when the
+  /// connection was closed.
+  bool take_reply(Shard& shard, int fd, Conn& conn, Completion& done) {
     conn.in_flight = 0;
     if (done.shutdown) {
       // Deliver the shutdown ack, then close the connection and stop the
@@ -620,13 +622,8 @@ class Server::EventLoop {
       conn.shutdown_after_flush = true;
       conn.close_after_flush = true;
     }
-    if (!enqueue_response(shard, done.fd, conn, std::move(done.response),
-                          conn.in_flight_framed_at)) {
-      return;
-    }
-    if (!process_requests(shard, done.fd, conn)) return;
-    if (!try_flush(shard, done.fd, conn)) return;
-    finish_if_done(shard, done.fd, conn);
+    return enqueue_response(shard, fd, conn, std::move(done.response),
+                            conn.in_flight_framed_at);
   }
 
   /// Append one framed response to the output buffer, enforcing the
@@ -637,7 +634,7 @@ class Server::EventLoop {
     request_us_hist().observe(micros_since(framed_at));
     conn.out += response;
     conn.out += '\n';
-    if (conn.out.size() - conn.out_pos > options_.max_output_bytes) {
+    if (conn.out.size() - conn.out_pos > kMaxOutputBytes) {
       backpressure_counter().inc();
       close_conn(shard, fd);
       return false;
@@ -707,13 +704,7 @@ class Server::EventLoop {
   std::atomic<bool> stopping_{true};
   std::thread accept_thread_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ThreadPool> offload_pool_;
 };
-
-Server::Server(QueryExecutor& executor) : Server(executor, Options()) {}
-
-Server::Server(QueryExecutor& executor, Options options)
-    : executor_(&executor), options_(std::move(options)) {}
 
 Server::Server(LineHandler handler, Options options)
     : handler_(std::move(handler)), options_(std::move(options)) {}
@@ -721,7 +712,19 @@ Server::Server(LineHandler handler, Options options)
 Server::~Server() { stop(); }
 
 void Server::Reply::operator()(std::string response, bool shutdown) const {
-  loop_->post_reply(shard_, fd_, gen_, std::move(response), shutdown);
+  Mailbox& box = *mailbox_;
+  if (t_shard_mailbox == &box) {
+    // On the shard's own thread, so its loop is alive: no lock, no wake.
+    box.loop->reply_on_shard(box.shard,
+                             {fd_, gen_, std::move(response), shutdown});
+    return;
+  }
+  {
+    std::lock_guard lock(box.mutex);
+    if (box.closed) return;  // stopped: no shard reads this inbox again
+    box.completions.push_back({fd_, gen_, std::move(response), shutdown});
+  }
+  box.wake();
 }
 
 bool Server::start(std::string* error) {

@@ -1,20 +1,28 @@
 #pragma once
 // The request executor: the concurrency heart of the service.
 //
-//   execute(query)
-//     ├─ cache hit  ──────────────────────────────► O(1) answer
+//   execute(query, done)
+//     ├─ cache hit  ──────────────────────────────► done(answer), inline
 //     ├─ identical query already in flight ───────► join it (single-flight)
-//     ├─ draining ────────────────────────────────► shed: "overloaded:
+//     ├─ draining ────────────────────────────────► done(shed): "overloaded:
 //     │                                             draining", no hint
-//     ├─ guard::Guard::admit refuses (count cap, ─► shed: "overloaded" +
-//     │  rate, cost budget, fair share)             retry_after_ms hint
+//     ├─ guard::Guard::admit refuses (count cap, ─► done(shed): "overloaded"
+//     │  rate, cost budget, fair share)             + retry_after_ms hint
 //     └─ otherwise: run plan_query() on the pool through the fair
-//        scheduler, publish to every waiter, store the result under its
-//        content address.
+//        scheduler, store the result under its content address, and call
+//        every waiter's done on the worker that publishes it.
+//
+// No thread ever blocks waiting for a flight: a waiter is a callback with a
+// deadline, and the one executor thread (the watchdog) fires deadlines and
+// hang limits from a timer queue.  `done` runs exactly once per request,
+// never under an executor lock: inline (hit, shed), on the publishing worker
+// (leader and joiners), from a queued flight's shed (drain, shutdown), or on
+// the watchdog (deadline, hung flight).  The blocking execute(query) is a
+// wrapper for tests and one-shot tools.
 //
 // Single-flight matters because the expensive queries are the memoizable
 // ones: a thundering herd of identical `estimate` requests triggers exactly
-// one packet simulation; the rest block on the flight and share its result.
+// one packet simulation; the rest join the flight and share its result.
 // Waiters honor a per-query deadline — a timed-out waiter gets an error
 // response, but the computation still completes and still fills the cache.
 //
@@ -42,8 +50,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "netemu/guard/fair_queue.hpp"
@@ -88,7 +98,8 @@ class QueryExecutor {
     /// SIGKILL'd process rejoins warm (see ResultCache).  Needs cache_file.
     bool cache_journal = false;
     /// Flights older than this are cancelled by the watchdog (waiters get
-    /// an error, the guard's charge is released).  0 disables the watchdog.
+    /// an error, the guard's charge is released).  0 disables only this
+    /// cancellation; waiter deadlines always fire.
     std::uint64_t hang_timeout_ms = 0;
     /// Backoff hint attached to shed ("overloaded") responses.  Used as-is
     /// until the executor has completed at least one compute; after that the
@@ -124,17 +135,22 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Blocking: returns when the answer is available, the deadline passes,
-  /// the watchdog cancels the flight, or the request is shed.
+  /// Answer `q` through `done`, exactly once: when the answer is
+  /// available, the deadline (plus a grace of clamp(deadline/8, 10, 250) ms)
+  /// passes, the watchdog cancels the flight, or the request is shed.  Never
+  /// blocks, and never calls `done` under an executor lock; `done` may run
+  /// inline, on a pool worker or on the watchdog thread.
+  void execute(const Query& q, std::function<void(Response)> done);
+
+  /// Blocking wrapper over the callback form (tests, one-shot tools).
   Response execute(const Query& q);
 
   /// Non-blocking fast path: answer `q` only if it is a plain cache hit
   /// (never for refresh=true).  A hit is accounted exactly as execute()
   /// would account it (request + cache-hit counters, spans, latency
   /// histogram); a miss touches no counters and returns nullopt — the
-  /// caller then routes the query through execute() on a thread that may
-  /// block.  Takes no executor lock; safe to call concurrently from
-  /// event-loop shards.
+  /// caller then routes the query through execute().  Takes no executor
+  /// lock; safe to call concurrently from event-loop shards.
   std::optional<Response> try_cached(const Query& q);
 
   /// This executor's metrics: every request, shed and compute it answers
@@ -214,34 +230,62 @@ class QueryExecutor {
 
  private:
   using Clock = std::chrono::steady_clock;
+  struct Flight;
+
+  /// One request waiting for a flight: its callback and its deadline.
+  struct Waiter {
+    std::function<void(Response)> done;
+    Clock::time_point start;
+    std::uint64_t start_us = 0;  // trace clock (executor.execute span)
+    std::uint64_t key = 0;
+    std::uint64_t tid = 0;
+    std::uint64_t deadline_ms = 0;
+  };
+  using WaiterPtr = std::shared_ptr<Waiter>;
+
+  /// A waiter's deadline (waiter set) or a flight's hang limit (waiter
+  /// null), fired by the watchdog thread.
+  struct Timer {
+    std::shared_ptr<Flight> flight;
+    WaiterPtr waiter;
+  };
+  using Timers = std::multimap<Clock::time_point, Timer>;
 
   struct Flight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    Response response;
-    Clock::time_point started;  // immutable after creation
     std::uint64_t key = 0;          // immutable after creation
     std::uint64_t trace_id = 0;     // leader's trace id (immutable)
     std::uint64_t cost = 0;         // admission cost units (immutable)
     std::string client;             // leader's client identity (immutable)
-    bool abandoned = false;     // guarded by the executor mutex_
     // Deadline armed at creation (before the compute task exists); fired by
     // the watchdog, the last departing waiter, cancel_trace, or cancel_all.
     CancelSource cancel;
-    std::size_t waiters = 0;    // guarded by the executor mutex_
+    // Guarded by the executor mutex_.  A waiter leaves this list exactly
+    // once — whoever takes it out answers it.
+    std::vector<std::pair<WaiterPtr, Timers::iterator>> waiters;
+    std::optional<Timers::iterator> hang_timer;
   };
 
   void watchdog_loop();
-  /// Take a flight out of the single-flight map.  False when it is gone
-  /// already (the watchdog abandoned it): its guard charge was released
-  /// then, and must not be released twice.  Caller holds mutex_.
-  bool unregister_locked(const std::shared_ptr<Flight>& flight);
+  /// Add a waiter to `flight`, its deadline armed.  Caller holds mutex_.
+  void add_waiter_locked(const std::shared_ptr<Flight>& flight,
+                         Waiter waiter);
+  /// Take a flight out of the single-flight map (cancelling its hang timer)
+  /// and move its waiters into `waiters` (cancelling their deadlines), for
+  /// the caller to answer once it has dropped mutex_.  False when the
+  /// flight was gone from the map already (the watchdog abandoned it): its
+  /// guard charge was released then, and must not be released twice.
+  bool retire_locked(const std::shared_ptr<Flight>& flight,
+                     std::vector<WaiterPtr>& waiters);
+  /// Complete one request: stamp the waiter's key / trace id / residency,
+  /// observe netemu_execute_us, close the executor.execute span, call done.
+  void answer(Waiter& waiter, Response response, const char* note = "");
   /// Answer a queued-but-never-started flight (drain shed, pool refusal):
   /// unregister it, release its guard charge, and publish an
   /// overloaded/draining response to its waiters.
-  void shed_unstarted_flight(const std::shared_ptr<Flight>& flight,
-                             std::uint64_t key, std::uint64_t tid);
+  void shed_unstarted_flight(const std::shared_ptr<Flight>& flight);
+  /// The compute task of a leader flight, run on a pool worker.
+  void run_flight(const std::shared_ptr<Flight>& flight, const Query& q,
+                  std::uint64_t submit_us, unsigned brownout_trials);
 
   // This executor's metrics, registered in metrics_ at construction and
   // recorded lock-free from any thread (docs/SCOPE.md has the catalog).
@@ -304,10 +348,16 @@ class QueryExecutor {
   guard::Guard guard_;
   guard::FairScheduler sched_;
 
-  mutable std::mutex mutex_;  // guards flights_, draining_, watchdog_stop_
+  // Guards flights_ and every flight's waiters, timers_, draining_ and
+  // watchdog_stop_.
+  mutable std::mutex mutex_;
   std::map<std::uint64_t, std::shared_ptr<Flight>> flights_;
   bool draining_ = false;
 
+  // Waiter deadlines and hang limits, earliest first; the watchdog thread
+  // sleeps until the first one.
+  Timers timers_;
+  Clock::time_point watchdog_wake_at_ = Clock::time_point::max();
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
   std::thread watchdog_;

@@ -232,8 +232,8 @@ std::optional<std::string> try_handle_request_line_fast(
   if (op == "ping") return ping_line();
   if (op == "stats" || op == "health" || op == "trace" || op == "events" ||
       op == "cancel" || op == "drain" || op == "shutdown") {
-    // Cheap but side-effecting or lock-taking: keep the reactor pure and
-    // let the offload path run them via handle_request_line.
+    // Side-effecting or lock-taking: left to the caller, so this function
+    // stays a pure parse + cache probe.
     return std::nullopt;
   }
 
@@ -245,9 +245,13 @@ std::optional<std::string> try_handle_request_line_fast(
   return std::nullopt;
 }
 
-std::string handle_request_line(const std::string& line, QueryExecutor& exec,
-                                bool* shutdown_requested,
-                                const std::string& default_client) {
+namespace {
+
+/// The answer to every line but a valid query: the response line, or
+/// nullopt with the query (its default client stamped) in `query`.
+std::optional<std::string> answer_unless_query(
+    const std::string& line, QueryExecutor& exec, bool* shutdown_requested,
+    const std::string& default_client, std::optional<Query>& query) {
   std::string error;
   const Json request = Json::parse(line, &error);
   if (!error.empty()) return error_line("bad JSON: " + error);
@@ -297,14 +301,45 @@ std::string handle_request_line(const std::string& line, QueryExecutor& exec,
     return doc.dump();
   }
 
-  auto query = query_from_json(request, &error);
+  query = query_from_json(request, &error);
   if (!query) return error_line(error);
   if (query->client.empty() && !default_client.empty()) {
     // Per-connection identity for the guard's fairness; truncated to the
     // wire field's own cap so a stamped identity obeys the same rules.
     query->client = default_client.substr(0, 64);
   }
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string handle_request_line(const std::string& line, QueryExecutor& exec,
+                                bool* shutdown_requested,
+                                const std::string& default_client) {
+  std::optional<Query> query;
+  if (auto answer = answer_unless_query(line, exec, shutdown_requested,
+                                        default_client, query)) {
+    return std::move(*answer);
+  }
   return response_to_line(exec.execute(*query));
+}
+
+Server::LineHandler executor_line_handler(QueryExecutor& exec) {
+  return [&exec](std::string line, const std::string& peer, Reactor&,
+                 Server::Reply reply) {
+    // The fast path first, as its own call: perfledger's protocol.fast_us
+    // times exactly this function, so it must stay the daemon's real path.
+    if (auto fast = try_handle_request_line_fast(line, exec)) {
+      return reply(std::move(*fast));
+    }
+    bool shutdown = false;
+    std::optional<Query> query;
+    if (auto answer = answer_unless_query(line, exec, &shutdown,
+                                          "peer:" + peer, query)) {
+      return reply(std::move(*answer), shutdown);
+    }
+    exec.execute(*query, [reply](Response r) { reply(response_to_line(r)); });
+  };
 }
 
 LineChannel::Status LineChannel::read_line_status(std::string& line,

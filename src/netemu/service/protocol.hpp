@@ -41,20 +41,28 @@
 #include <string>
 
 #include "netemu/service/executor.hpp"
+#include "netemu/service/server.hpp"
 
 namespace netemu {
 
 class FaultInjector;
 
-/// Reactor-inline fast path: answer `line` only when it can be served
-/// without ever blocking — ping, malformed requests, and plain cache hits
-/// (via QueryExecutor::try_cached).  Everything else — control ops with
-/// side effects, cache misses, refresh queries — returns nullopt so the
-/// caller offloads the line to handle_request_line on a thread that may
-/// block.  For lines this function does answer, the response is
-/// byte-compatible with handle_request_line's.
+/// Reactor-inline fast path: answer `line` only when it needs no executor
+/// lock — ping, malformed requests, and plain cache hits (via
+/// QueryExecutor::try_cached).  Everything else — control ops, cache
+/// misses, refresh queries — returns nullopt, and executor_line_handler
+/// answers it on the shard or through the executor's callback form.  For
+/// lines this function does answer, the response is byte-compatible with
+/// handle_request_line's.
 std::optional<std::string> try_handle_request_line_fast(
     const std::string& line, QueryExecutor& exec);
+
+/// The daemon's line handler over an executor: the fast path first, then
+/// the control ops on the shard, and every query through
+/// QueryExecutor::execute(q, done) with "peer:<peer>" stamped as its
+/// default client.  Nothing it does blocks the shard; the reply comes from
+/// the shard, a pool worker or the executor's watchdog thread.
+Server::LineHandler executor_line_handler(QueryExecutor& exec);
 
 /// Handle one request line (without trailing newline) against an executor.
 /// Returns the response line (without trailing newline).  If the request is

@@ -3,24 +3,22 @@
 // served by a sharded epoll event loop (event_loop.cpp; docs/SERVICE.md
 // "I/O plane").
 //
-// The listener is decoupled from what answers the lines: the executor
-// constructor serves a QueryExecutor (handle_request_line), the handler
-// constructor runs any LineHandler on the reactor shards — the fleet front
-// door races each line over backend connections from the shard itself.
+// The listener is decoupled from what answers the lines: every line goes to
+// one LineHandler on the reactor shard that framed it.  netemu_serve's
+// handler (executor_line_handler, protocol.hpp) answers the fast path and
+// the control ops on the shard and hands queries to the executor, which
+// replies from a pool worker; the fleet front door races each line over
+// backend connections from the shard itself.
 //
 // One acceptor distributes non-blocking connections round-robin across
 // `io_threads` reactor shards; each shard owns its fds with edge-triggered
 // epoll and frames request lines incrementally from per-connection
-// buffers.  Over an executor it serves the fast path (ping, cache hits)
-// inline and offloads everything else to a bounded handler pool whose
-// completions are posted back to the owning shard through an eventfd.  A
-// LineHandler runs on the shard and answers through a Reply, now or later
-// (watching other fds and arming timers on the shard's Reactor in
-// between).  Either way one request per connection is in flight at a
-// time.  Responses are coalesced into a per-connection output buffer
-// bounded by `max_output_bytes` — a consumer that falls further behind
-// than that is disconnected instead of growing the heap.  Thousands of
-// mostly-idle connections cost two buffers each, not a kernel thread each.
+// buffers.  A handler answers through a Reply, now or later, from any
+// thread; one request per connection is in flight at a time.  Responses
+// are coalesced into a per-connection output buffer bounded at 8 MiB — a
+// consumer that falls further behind than that is disconnected instead of
+// growing the heap.  Thousands of mostly-idle connections cost two buffers
+// each, not a kernel thread each.
 //
 // Lifecycle: start() binds and spawns, begin_drain() closes only the
 // listener (live connections still get their responses), stop() shuts
@@ -34,8 +32,6 @@
 #include <mutex>
 #include <string>
 
-#include "netemu/service/executor.hpp"
-
 namespace netemu {
 
 class FaultInjector;
@@ -43,23 +39,25 @@ class Reactor;
 
 class Server {
   class EventLoop;  // event_loop.cpp
+  struct Mailbox;   // event_loop.cpp: a shard's cross-thread inbox
 
  public:
-  /// Answers one request: call it exactly once, on the shard's reactor
-  /// (inside the handler or from a later callback there), with the
+  /// Answers one request: call it exactly once, from any thread, with the
   /// response line (no trailing newline).  `shutdown` stops the server
-  /// after the response flushes.  A reply for a connection that closed
-  /// meanwhile is dropped.
+  /// after the response flushes.  A reply inside the handler's own call is
+  /// written in the same pass; a later one on the shard is posted to its
+  /// reactor; one from another thread goes through the shard's inbox.  A
+  /// reply for a connection that closed meanwhile, or one that arrives
+  /// after stop() or after the Server is gone, is dropped.
   class Reply {
    public:
     void operator()(std::string response, bool shutdown = false) const;
 
    private:
     friend class EventLoop;
-    Reply(EventLoop* loop, std::size_t shard, int fd, std::uint64_t gen)
-        : loop_(loop), shard_(shard), fd_(fd), gen_(gen) {}
-    EventLoop* loop_;
-    std::size_t shard_;
+    Reply(std::shared_ptr<Mailbox> mailbox, int fd, std::uint64_t gen)
+        : mailbox_(std::move(mailbox)), fd_(fd), gen_(gen) {}
+    std::shared_ptr<Mailbox> mailbox_;
     int fd_;
     std::uint64_t gen_;
   };
@@ -77,29 +75,15 @@ class Server {
 
   struct Options {
     std::uint16_t port = 7464;  ///< 0 = ephemeral (see port() after start)
-    int backlog = 256;
     std::size_t max_line = 1 << 20;  ///< request line cap (protocol_error)
     /// Fault injector applied to every connection's socket I/O (chaos
     /// testing).  Not owned; must outlive the server.  nullptr disables.
     FaultInjector* faults = nullptr;
     /// Reactor shards; 0 = hardware threads.
     std::size_t io_threads = 0;
-    /// Threads running handle_request_line for every request the
-    /// executor's fast path did not answer; 0 = max(8, 2 x hardware
-    /// threads).  The executor's admission queue bounds real concurrency.
-    /// A server over a LineHandler runs no such pool.
-    std::size_t offload_threads = 0;
-    /// Per-connection pending-output cap; a consumer further behind than
-    /// this is disconnected (backpressure) instead of buffering unboundedly.
-    std::size_t max_output_bytes = 8u << 20;
   };
 
-  explicit Server(QueryExecutor& executor);  // all-default Options
-  /// Serve an executor: ping and cache hits answer inline on the reactor
-  /// shard, everything else runs handle_request_line on the offload pool
-  /// with the connection's peer stamped as the default guard client.
-  Server(QueryExecutor& executor, Options options);
-  /// Serve a handler on the reactor shards (the fleet front door).
+  /// Serve `handler` on the reactor shards.
   Server(LineHandler handler, Options options);
   ~Server();
 
@@ -135,12 +119,8 @@ class Server {
  private:
   void request_stop();
 
-  /// Set by the handler constructor: runs every line on its shard.
+  /// Runs every line on its shard.
   LineHandler handler_;
-  /// Set by the executor constructor: the reactor shards answer what
-  /// try_handle_request_line_fast can (it never blocks) and offload the
-  /// rest to handle_request_line.
-  QueryExecutor* executor_ = nullptr;
   Options options_;
   std::unique_ptr<EventLoop> loop_;
   std::uint16_t port_ = 0;

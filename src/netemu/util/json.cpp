@@ -307,6 +307,8 @@ JsonArray& Json::items() {
   if (!is_array() || !arr_) {
     type_ = Type::kArray;
     arr_ = std::make_shared<JsonArray>();
+  } else if (arr_.use_count() > 1) {
+    arr_ = std::make_shared<JsonArray>(*arr_);  // detach before writing
   }
   return *arr_;
 }
@@ -315,6 +317,8 @@ JsonObject& Json::fields() {
   if (!is_object() || !obj_) {
     type_ = Type::kObject;
     obj_ = std::make_shared<JsonObject>();
+  } else if (obj_.use_count() > 1) {
+    obj_ = std::make_shared<JsonObject>(*obj_);  // detach before writing
   }
   return *obj_;
 }

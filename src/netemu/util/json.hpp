@@ -73,12 +73,15 @@ class Json {
 
   const JsonArray& items() const;    // empty when not an array
   const JsonObject& fields() const;  // empty when not an object
-  JsonArray& items();                // converts to array if needed
-  JsonObject& fields();              // converts to object if needed
+  /// Mutable access converts to an array / object if needed, and first
+  /// detaches one that other copies share (copy-on-write).
+  JsonArray& items();
+  JsonObject& fields();
 
   /// Object field lookup; returns a null Json when absent or not an object.
   const Json& operator[](const std::string& key) const;
-  /// Mutable object field access (converts to object if needed).
+  /// Mutable object field access (fields()[key]: converts, detaches, and
+  /// inserts a null field when absent).
   Json& operator[](const std::string& key);
 
   bool contains(const std::string& key) const;
@@ -99,8 +102,11 @@ class Json {
   bool bool_ = false;
   double num_ = 0.0;
   std::string str_;
-  // Shared pointers keep Json copyable and cheap to return by value; the
-  // service never mutates a parsed document in place after sharing it.
+  // Copies share their array / object until one of them writes: the
+  // mutable accessors detach first, so mutating a copy never changes the
+  // original or another copy, on any thread.  Concurrent use of ONE Json
+  // object still needs a lock, and a reference taken through a mutable
+  // accessor must not be written through once the Json has been copied.
   std::shared_ptr<JsonArray> arr_;
   std::shared_ptr<JsonObject> obj_;
 };

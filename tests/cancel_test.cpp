@@ -430,7 +430,7 @@ struct CancelTestBackend {
     executor = std::make_unique<QueryExecutor>(options);
     Server::Options so;
     so.port = 0;
-    server = std::make_unique<Server>(*executor, so);
+    server = std::make_unique<Server>(executor_line_handler(*executor), so);
     std::string error;
     EXPECT_TRUE(server->start(&error)) << error;
     return server->port();

@@ -572,7 +572,7 @@ TEST(Protocol, OverlongRequestLineGetsProtocolErrorAndConnectionSurvives) {
   Server::Options server_options;
   server_options.port = 0;
   server_options.max_line = 256;
-  Server server(executor, server_options);
+  Server server(executor_line_handler(executor), server_options);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -607,7 +607,7 @@ TEST(ClientRetry, SurvivesServerSideConnectionDrops) {
   Server::Options server_options;
   server_options.port = 0;
   server_options.faults = &injector;
-  Server server(executor, server_options);
+  Server server(executor_line_handler(executor), server_options);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -657,7 +657,7 @@ TEST(ClientRetry, HonorsOverloadedRetryAfterHint) {
   QueryExecutor executor(std::move(options));
   Server::Options server_options;
   server_options.port = 0;
-  Server server(executor, server_options);
+  Server server(executor_line_handler(executor), server_options);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -742,7 +742,7 @@ TEST(ChaosSoak, MultiSeedRoundTripsLoseNothing) {
       Server::Options server_options;
       server_options.port = 0;
       server_options.faults = &injector;
-      Server server(executor, server_options);
+      Server server(executor_line_handler(executor), server_options);
       std::string error;
       ASSERT_TRUE(server.start(&error)) << error;
 

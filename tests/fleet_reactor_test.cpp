@@ -25,6 +25,7 @@
 #include "netemu/fleet/router.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/service/executor.hpp"
+#include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/cancel.hpp"
 #include "netemu/util/json.hpp"
@@ -48,7 +49,7 @@ struct Backend {
   std::uint16_t start() {
     Server::Options options;
     options.port = 0;
-    server = std::make_unique<Server>(executor, options);
+    server = std::make_unique<Server>(executor_line_handler(executor), options);
     std::string error;
     EXPECT_TRUE(server->start(&error)) << error;
     return server->port();

@@ -23,6 +23,7 @@
 #include "netemu/service/client.hpp"
 #include "netemu/service/planner.hpp"
 #include "netemu/service/result_cache.hpp"
+#include "netemu/service/protocol.hpp"
 #include "netemu/service/server.hpp"
 #include "netemu/util/json.hpp"
 
@@ -396,7 +397,7 @@ struct TestBackend {
   std::uint16_t start() {
     Server::Options options;
     options.port = 0;
-    server = std::make_unique<Server>(executor, options);
+    server = std::make_unique<Server>(executor_line_handler(executor), options);
     std::string error;
     EXPECT_TRUE(server->start(&error)) << error;
     return server->port();
@@ -490,7 +491,7 @@ TEST(FleetRouter, RecoversAClosedBackendThroughHalfOpenProbes) {
   // next owner-keyed request is the half-open probe and closes the breaker.
   Server::Options so;
   so.port = pa;
-  Server revived(a.executor, so);
+  Server revived(executor_line_handler(a.executor), so);
   std::string error;
   ASSERT_TRUE(revived.start(&error)) << error;
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -526,7 +527,7 @@ TEST(FleetRouter, DeadlineExpiryWhileHalfOpenLeavesTheBackendRecoverable) {
   QueryExecutor slow(std::move(eo));
   Server::Options so;
   so.port = pa;
-  Server revived(slow, so);
+  Server revived(executor_line_handler(slow), so);
   std::string error;
   ASSERT_TRUE(revived.start(&error)) << error;
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -572,7 +573,8 @@ TEST(FleetRouter, ARaceSpendsOneDeadlineBudget) {
     executors.push_back(std::make_unique<QueryExecutor>(std::move(eo)));
     Server::Options so;
     so.port = 0;
-    servers.push_back(std::make_unique<Server>(*executors.back(), so));
+    servers.push_back(std::make_unique<Server>(
+        executor_line_handler(*executors.back()), so));
     std::string error;
     ASSERT_TRUE(servers.back()->start(&error)) << error;
     ports.push_back(servers.back()->port());

@@ -50,10 +50,7 @@ Json estimate_query(unsigned trials = 8, std::uint64_t seed = 7,
 }
 
 Json ranged(const Json& q, unsigned lo, unsigned hi) {
-  // Rebuild field by field: Json copies share structure, so mutating a
-  // copy of `q` would write the range into the caller's document too.
-  Json out = Json::object();
-  for (const auto& [k, v] : q.fields()) out[k] = v;
+  Json out = q;
   out["trial_lo"] = lo;
   out["trial_hi"] = hi;
   return out;
@@ -87,7 +84,7 @@ struct TestBackend {
   std::uint16_t start() {
     Server::Options options;
     options.port = 0;
-    server = std::make_unique<Server>(executor, options);
+    server = std::make_unique<Server>(executor_line_handler(executor), options);
     std::string error;
     EXPECT_TRUE(server->start(&error)) << error;
     return server->port();

@@ -484,7 +484,7 @@ struct TracedBackend {
   std::uint16_t start() {
     Server::Options options;
     options.port = 0;
-    server = std::make_unique<Server>(executor, options);
+    server = std::make_unique<Server>(executor_line_handler(executor), options);
     std::string error;
     EXPECT_TRUE(server->start(&error)) << error;
     return server->port();

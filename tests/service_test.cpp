@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -23,6 +24,7 @@
 
 #include "netemu/bandwidth/theory.hpp"
 #include "netemu/emulation/host_size.hpp"
+#include "netemu/scope/metrics.hpp"
 #include "netemu/service/client.hpp"
 #include "netemu/service/executor.hpp"
 #include "netemu/service/planner.hpp"
@@ -162,6 +164,69 @@ TEST(Json, StrictNumbersStillAcceptValidForms) {
     EXPECT_TRUE(error.empty()) << c.text << ": " << error;
     EXPECT_DOUBLE_EQ(doc.as_number(), c.value) << c.text;
   }
+}
+
+TEST(Json, MutatingACopyNeverChangesTheOriginal) {
+  const Json original =
+      Json::parse(R"({"a":1,"list":[1,2],"nested":{"x":true}})");
+  const std::string before = original.dump();
+
+  Json copy = original;
+  copy["a"] = 2;                      // set
+  copy["added"] = "yes";              // insert
+  copy.fields().erase("list");        // erase
+  copy["nested"]["x"] = false;        // nested set
+  copy["nested"]["y"] = 3;            // nested insert
+  EXPECT_EQ(original.dump(), before);
+  EXPECT_EQ(copy.dump(), R"({"a":2,"added":"yes","nested":{"x":false,"y":3}})");
+
+  Json pushed = original;
+  pushed["list"].items().push_back(3);  // array push
+  EXPECT_EQ(original.dump(), before);
+  EXPECT_EQ(pushed["list"].dump(), "[1,2,3]");
+
+  // A copy of a copy detaches from both.
+  Json again = pushed;
+  again["list"].items().clear();
+  EXPECT_EQ(pushed["list"].dump(), "[1,2,3]");
+  EXPECT_EQ(again["list"].dump(), "[]");
+  EXPECT_EQ(original.dump(), before);
+}
+
+TEST(Json, CopiesMutateOnTheirOwnThreadsWhileTheOriginalIsDumped) {
+  // Two writers each edit their own copies of one parsed document while a
+  // third thread dumps the original (TSan checks the sharing in CI).
+  const Json original = Json::parse(
+      R"({"trace":"0000000000000001","list":[1,2,3],"nested":{"n":1}})");
+  const std::string before = original.dump();
+  std::atomic<bool> writing{true};
+  std::atomic<int> changed{0};
+  std::thread reader([&] {
+    while (writing.load()) {
+      if (original.dump() != before) changed.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&original, &changed, w] {
+      for (int i = 0; i < 500; ++i) {
+        Json copy = original;
+        copy["trace"] = std::to_string(w);
+        copy["nested"]["n"] = i;
+        copy["list"].items().push_back(w);
+        copy.fields().erase("trace");
+        if (copy["nested"]["n"].as_int() != i ||
+            copy["list"].items().size() != 4) {
+          changed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_EQ(changed.load(), 0);
+  EXPECT_EQ(original.dump(), before);
 }
 
 // ----------------------------------------------------------- cache key --
@@ -717,7 +782,7 @@ TEST(Server, LoopbackEndToEnd) {
   QueryExecutor executor;  // real planner
   Server::Options server_options;
   server_options.port = 0;  // ephemeral
-  Server server(executor, server_options);
+  Server server(executor_line_handler(executor), server_options);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -763,7 +828,7 @@ TEST(Server, ManyConcurrentConnections) {
   QueryExecutor executor(std::move(options));
   Server::Options server_options;
   server_options.port = 0;
-  Server server(executor, server_options);
+  Server server(executor_line_handler(executor), server_options);
   std::string error;
   ASSERT_TRUE(server.start(&error)) << error;
 
@@ -865,6 +930,13 @@ class RawConn {
     }
   }
 
+  /// True when a line is buffered, or bytes (or EOF) arrive within `ms`.
+  bool readable_within(int ms) {
+    if (buffer_.find('\n') != std::string::npos) return true;
+    pollfd p{fd_, POLLIN, 0};
+    return ::poll(&p, 1, std::max(ms, 0)) > 0;
+  }
+
   /// True when the peer has closed (a clean EOF with no pending bytes).
   bool read_eof() {
     char chunk[64];
@@ -888,7 +960,8 @@ struct EchoServer {
     };
     executor = std::make_unique<QueryExecutor>(std::move(exec_options));
     options.port = 0;
-    server = std::make_unique<Server>(*executor, options);
+    server =
+        std::make_unique<Server>(executor_line_handler(*executor), options);
     std::string error;
     started = server->start(&error);
   }
@@ -926,7 +999,8 @@ TEST(ServerFraming, PipelinedRequestsInOneSegment) {
 
   // Many requests in ONE send: the framer must split them and answer each
   // in request order even though some hit cache (inline fast path) and some
-  // compute (offload pool) — the ordering guarantee is what's under test.
+  // compute (replied from a pool worker) — the ordering guarantee is what's
+  // under test.
   constexpr int kRequests = 32;
   std::string burst;
   for (int i = 0; i < kRequests; ++i) {
@@ -1087,8 +1161,8 @@ TEST(ServerChurn, SequentialConnectionsStayBounded) {
   EchoServer s;
   ASSERT_TRUE(s.started);
 
-  // Warm up: let every lazily-spawned thread (shards, offload pool) exist
-  // before the baseline measurement.
+  // Warm up: let every lazily-spawned thread (shards, executor workers)
+  // exist before the baseline measurement.
   {
     RawConn warm(s.server->port());
     ASSERT_TRUE(warm.ok());
@@ -1121,6 +1195,235 @@ TEST(ServerChurn, SequentialConnectionsStayBounded) {
   EXPECT_LT(rss_after_kb - rss_before_kb, 128 * 1024)
       << "RSS grew by " << (rss_after_kb - rss_before_kb) << " kB over "
       << kChurn << " connections";
+}
+
+// ------------------------------------------------- backpressure + guard --
+
+/// Poll `condition` every 5 ms for up to 5 s.
+template <typename Condition>
+bool eventually(Condition condition) {
+  for (int i = 0; i < 1000; ++i) {
+    if (condition()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return condition();
+}
+
+/// A bandwidth query line: cost 1, one cache key per n.
+std::string bandwidth_line(int n, const std::string& extra = "") {
+  return R"({"op":"bandwidth","family":"Butterfly","n":)" +
+         std::to_string(n) + extra + "}\n";
+}
+
+TEST(ServerBackpressure, ANonReadingPipelinerIsCutOffPastTheOutputCap) {
+  // Every answer is a 64 KiB cache hit, so 2000 pipelined requests owe the
+  // client 128 MiB: far past the 8 MiB cap plus what the socket buffers
+  // absorb.
+  QueryExecutor::Options exec_options;
+  exec_options.compute = [](const Query&, const CancelToken&) {
+    Json doc = Json::object();
+    doc["pad"] = std::string(64u << 10, 'x');
+    return doc;
+  };
+  QueryExecutor executor(std::move(exec_options));
+  const std::string request = bandwidth_line(64);
+  ASSERT_TRUE(handle_request_line(request.substr(0, request.size() - 1),
+                                  executor)
+                  .find("\"ok\":true") != std::string::npos);
+  Server server(executor_line_handler(executor), {.port = 0});
+  ASSERT_TRUE(server.start());
+  const auto disconnects = [] {
+    return scope::Registry::global().counter_value(
+        "netemu_backpressure_disconnects_total");
+  };
+  const std::uint64_t before = disconnects();
+
+  // A client that reads keeps its connection through the same volume.
+  RawConn reader(server.port());
+  ASSERT_TRUE(reader.ok());
+  std::string window;
+  for (int i = 0; i < 16; ++i) window += request;
+  int answered = 0;
+  for (int round = 0; round < 125; ++round) {
+    ASSERT_TRUE(reader.send_all(window));
+    for (int i = 0; i < 16; ++i) {
+      if (reader.read_line().find("\"ok\":true") != std::string::npos) {
+        ++answered;
+      }
+    }
+  }
+  EXPECT_EQ(answered, 2000);
+  EXPECT_EQ(disconnects(), before);
+
+  // One that never reads is disconnected, once, and counted.
+  RawConn hog(server.port());
+  ASSERT_TRUE(hog.ok());
+  std::string burst;
+  for (int i = 0; i < 2000; ++i) burst += request;
+  hog.send_all(burst);  // may fail once the server has hung up
+  EXPECT_TRUE(eventually([&] { return disconnects() == before + 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(disconnects(), before + 1);
+
+  // The reader's connection is still served.
+  ASSERT_TRUE(reader.send_all("{\"op\":\"ping\"}\n"));
+  EXPECT_NE(reader.read_line().find("\"pong\":true"), std::string::npos);
+}
+
+/// A server over a one-worker executor whose computes wait on a gate:
+/// every leader it admits stays pending until open().  The destructor opens
+/// the gate before the server stops.
+struct GatedServer {
+  explicit GatedServer(std::size_t max_queue, std::size_t io_threads = 0) {
+    QueryExecutor::Options exec_options;
+    exec_options.threads = 1;
+    exec_options.max_queue = max_queue;
+    exec_options.compute = [gate = gate_future](const Query& q,
+                                                const CancelToken&) {
+      gate->wait();
+      Json doc = Json::object();
+      doc["n"] = q.n;
+      return doc;
+    };
+    executor = std::make_unique<QueryExecutor>(std::move(exec_options));
+    server = std::make_unique<Server>(
+        executor_line_handler(*executor),
+        Server::Options{.port = 0, .io_threads = io_threads});
+  }
+  ~GatedServer() { open(); }
+
+  void open() {
+    if (!opened.exchange(true)) gate->set_value();
+  }
+
+  std::shared_ptr<std::promise<void>> gate =
+      std::make_shared<std::promise<void>>();
+  std::shared_ptr<std::shared_future<void>> gate_future =
+      std::make_shared<std::shared_future<void>>(gate->get_future());
+  std::atomic<bool> opened{false};
+  std::unique_ptr<QueryExecutor> executor;
+  std::unique_ptr<Server> server;
+};
+
+TEST(ServerAdmission, CountCapShedsConcurrentLeadersAtOnce) {
+  // max_queue 16 and every compute held: of 32 leaders on 32 connections,
+  // 16 reach the pool and 16 are shed at once by the guard's count cap.
+  // No queue in front of the guard may hold any of them back.
+  constexpr int kLeaders = 32;
+  GatedServer s(/*max_queue=*/16);
+  ASSERT_TRUE(s.server->start());
+  QueryExecutor& executor = *s.executor;
+  std::vector<std::unique_ptr<RawConn>> conns;
+  for (int i = 0; i < kLeaders; ++i) {
+    conns.push_back(std::make_unique<RawConn>(s.server->port()));
+    ASSERT_TRUE(conns.back()->ok());
+    ASSERT_TRUE(conns.back()->send_all(bandwidth_line(64 + i)));
+  }
+  EXPECT_TRUE(eventually([&] {
+    return executor.pending() + executor.stats().rejected == kLeaders;
+  })) << "pending " << executor.pending() << ", shed "
+      << executor.stats().rejected;
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::vector<int> held;
+  for (int i = 0; i < kLeaders; ++i) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (!conns[i]->readable_within(static_cast<int>(left.count()))) {
+      held.push_back(i);
+      continue;
+    }
+    const Json r = Json::parse(conns[i]->read_line());
+    EXPECT_EQ(r["error"].as_string(), "overloaded: admission queue full");
+  }
+  EXPECT_EQ(kLeaders - static_cast<int>(held.size()), 16);
+
+  s.open();
+  for (const int i : held) {
+    const Json r = Json::parse(conns[i]->read_line());
+    EXPECT_TRUE(r["ok"].as_bool()) << r.dump();
+    EXPECT_EQ(r["result"]["n"].as_int(), 64 + i);
+  }
+}
+
+TEST(ServerAdmission, HealthAndCancelAnswerPastHeldLeaders) {
+  // More held leaders than any per-request handler pool the daemon ever
+  // sized (max(8, 2 x hw) threads): health and cancel still answer at once.
+  const int leaders = static_cast<int>(
+      std::max(8u, 2 * std::thread::hardware_concurrency()) + 4);
+  GatedServer s(static_cast<std::size_t>(leaders));
+  ASSERT_TRUE(s.server->start());
+  QueryExecutor& executor = *s.executor;
+  std::vector<std::unique_ptr<RawConn>> conns;
+  for (int i = 0; i < leaders; ++i) {
+    conns.push_back(std::make_unique<RawConn>(s.server->port()));
+    ASSERT_TRUE(conns.back()->ok());
+    ASSERT_TRUE(conns.back()->send_all(bandwidth_line(
+        64 + i, ",\"trace\":\"" + hex64(0x5eed0000u + i) + "\"")));
+  }
+  EXPECT_TRUE(eventually([&] {
+    return executor.pending() == static_cast<std::size_t>(leaders);
+  })) << "pending " << executor.pending();
+
+  RawConn control(s.server->port());
+  ASSERT_TRUE(control.ok());
+  ASSERT_TRUE(control.send_all("{\"op\":\"health\"}\n"));
+  ASSERT_TRUE(control.readable_within(1000)) << "health waited";
+  const Json health = Json::parse(control.read_line());
+  EXPECT_EQ(health["result"]["pool"]["pending"].as_int(), leaders);
+
+  ASSERT_TRUE(control.send_all("{\"op\":\"cancel\",\"trace\":\"" +
+                               hex64(0x5eed0000u) + "\"}\n"));
+  ASSERT_TRUE(control.readable_within(1000)) << "cancel waited";
+  const Json cancel = Json::parse(control.read_line());
+  EXPECT_TRUE(cancel["result"]["cancelled"].as_bool()) << cancel.dump();
+
+  s.open();
+  for (int i = 0; i < leaders; ++i) {
+    EXPECT_FALSE(conns[i]->read_line().empty()) << "leader " << i;
+  }
+}
+
+TEST(ServerThreads, StartingAServerAddsOnlyItsShardsAndAcceptor) {
+  GatedServer s(/*max_queue=*/64, /*io_threads=*/2);
+  s.open();
+  const long before = proc_status_value("Threads:");
+  ASSERT_TRUE(s.server->start());
+  // A compute, a hit and a control op: whatever the server would spawn for
+  // them exists by now.
+  RawConn conn(s.server->port());
+  ASSERT_TRUE(conn.ok());
+  for (const std::string& line : {bandwidth_line(64), bandwidth_line(64),
+                                  std::string("{\"op\":\"health\"}\n")}) {
+    ASSERT_TRUE(conn.send_all(line));
+    EXPECT_NE(conn.read_line().find("\"ok\":true"), std::string::npos);
+  }
+  EXPECT_EQ(proc_status_value("Threads:") - before, 2 + 1);
+}
+
+TEST(ServerLifecycle, RepliesAfterStopOrDestructionAreDropped) {
+  for (const bool destroy : {false, true}) {
+    SCOPED_TRACE(destroy ? "server destroyed" : "server stopped");
+    GatedServer s(/*max_queue=*/64);
+    ASSERT_TRUE(s.server->start());
+    RawConn conn(s.server->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(conn.send_all(bandwidth_line(64, ",\"deadline_ms\":3000")));
+    ASSERT_TRUE(eventually([&] { return s.executor->pending() == 1; }));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    s.server->stop();
+    if (destroy) s.server.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2))
+        << "stop() waited for the compute";
+    // The compute finishes now and replies into a stopped (or freed)
+    // server: the reply is dropped.
+    s.open();
+    EXPECT_TRUE(eventually([&] {
+      return s.executor->pending() == 0 && s.executor->stats().computed == 1;
+    }));
+  }
 }
 
 }  // namespace
