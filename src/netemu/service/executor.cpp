@@ -151,9 +151,14 @@ void QueryExecutor::watchdog_loop() {
 }
 
 std::optional<Response> QueryExecutor::try_cached(const Query& q) {
-  if (q.refresh) return std::nullopt;
   const auto start = Clock::now();
-  const std::uint64_t key = q.cache_key();
+  return try_cached(q, q.cache_key(), start);
+}
+
+std::optional<Response> QueryExecutor::try_cached(const Query& q,
+                                                  std::uint64_t key,
+                                                  Clock::time_point start) {
+  if (q.refresh) return std::nullopt;
   const std::uint64_t tid = q.trace_id;
   // Probe before committing to any accounting: a miss must leave every
   // counter untouched so the fallback execute() stays the single
@@ -193,8 +198,8 @@ void QueryExecutor::execute(const Query& q,
   // before `done`, so it closes every trace's span list.
   const auto start = Clock::now();
   const std::uint64_t start_us = tid != 0 ? scope::now_us() : 0;
-  if (auto hit = try_cached(q)) return done(std::move(*hit));
   const std::uint64_t key = q.cache_key();
+  if (auto hit = try_cached(q, key, start)) return done(std::move(*hit));
   const std::uint64_t deadline_ms =
       q.deadline_ms > 0 ? q.deadline_ms : options_.default_deadline_ms;
   Waiter self{std::move(done), start, start_us, key, tid, deadline_ms};

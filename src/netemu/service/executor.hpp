@@ -266,6 +266,10 @@ class QueryExecutor {
   };
 
   void watchdog_loop();
+  /// try_cached, given the query's content address and the time the
+  /// request arrived.
+  std::optional<Response> try_cached(const Query& q, std::uint64_t key,
+                                     Clock::time_point start);
   /// Add a waiter to `flight`, its deadline armed.  Caller holds mutex_.
   void add_waiter_locked(const std::shared_ptr<Flight>& flight,
                          Waiter waiter);
