@@ -10,11 +10,7 @@
 //   $ netemu_serve --guard-budget 512  # admission cost budget (docs/GUARD.md)
 //
 // Threads: the acceptor, the --io-threads reactor shards, the executor's
-// --threads workers and its watchdog.  Every line reaches its shard's
-// handler: the fast path and the control ops answer there, and a query goes
-// straight to the admission guard and answers from the worker that computes
-// it, so no thread waits on a flight.  --offload-threads is accepted for a
-// uniform daemon command line and ignored.
+// --threads workers and its watchdog.  --offload-threads is ignored.
 //
 // Stop with SIGINT/SIGTERM or a client {"op":"drain"} / {"op":"shutdown"}.
 // Signals and the drain op run the graceful drain (docs/LIFECYCLE.md): stop

@@ -107,28 +107,14 @@ void Guard::evict_idle_locked(std::uint64_t now) {
 
 void Guard::maybe_adjust_locked(std::uint64_t now) {
   if (!options_.adaptive) return;
-  if (now - last_adjust_ms_ < options_.adjust_interval_ms) return;
-  last_adjust_ms_ = now;
-
-  const scope::Histogram::Snapshot cur = m_.execute_us.snapshot();
-  if (!have_snapshot_) {
-    last_snapshot_ = cur;
-    have_snapshot_ = true;
+  // A thin window keeps collecting until it holds enough flights to vote.
+  if (now - last_adjust_ms_ < options_.adjust_interval_ms ||
+      window_.count < options_.adjust_min_samples) {
     return;
   }
-  // Delta snapshot: only the requests observed since the last adjustment
-  // vote, so the controller reacts to the current latency regime instead of
-  // the lifetime average.
-  scope::Histogram::Snapshot delta;
-  delta.count = cur.count - last_snapshot_.count;
-  delta.sum = cur.sum - last_snapshot_.sum;
-  for (std::size_t b = 0; b < scope::Histogram::kBuckets; ++b) {
-    delta.buckets[b] = cur.buckets[b] - last_snapshot_.buckets[b];
-  }
-  last_snapshot_ = cur;
-  if (delta.count < options_.adjust_min_samples) return;  // thin window
-
-  const double p95_ms = delta.quantile(0.95) / 1000.0;  // hist is in us
+  last_adjust_ms_ = now;
+  const double p95_ms = window_.quantile(0.95);
+  window_ = {};
   const double budget = static_cast<double>(options_.cost_budget);
   if (p95_ms > options_.target_p95_ms) {
     limit_ = std::max(kLimitFloor * budget, limit_ * kDecreaseFactor);
@@ -175,6 +161,24 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
     return d;
   }
 
+  // A client shed while it held work waits out that shed's hint: asking
+  // again from its other connections the moment budget frees would outrace
+  // the clients that back off as told, and spin the shards on sheds.
+  if (now < c.hold_until_ms) {
+    m_.shed_share.inc();
+    d.admit = false;
+    d.held = true;
+    d.reason = "client over fair share";
+    d.retry_after_ms = c.hold_until_ms - now;
+    return d;
+  }
+  const auto hold = [&](const char* reason) {
+    shed(reason);
+    d.held = c.in_flight_cost > 0;
+    if (d.held) c.hold_until_ms = now + d.retry_after_ms;
+    return d;
+  };
+
   // Cost backlog and fair share.  An empty executor admits anything (the
   // biggest legal estimate must stay servable when nothing competes), and a
   // client's first in-flight query is never share-blocked for the same
@@ -182,13 +186,13 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   const bool others_pending = pending_cost_ > 0;
   if (others_pending && static_cast<double>(pending_cost_ + cost) > limit_) {
     m_.shed_backlog.inc();
-    return shed("cost budget full");
+    return hold("cost budget full");
   }
   const double share_cap = options_.client_share * limit_;
   if (c.in_flight_cost > 0 &&
       static_cast<double>(c.in_flight_cost + cost) > share_cap) {
     m_.shed_share.inc();
-    return shed("client over fair share");
+    return hold("client over fair share");
   }
 
   // Admitted: charge the bucket (possibly into debt — the floor is minus
@@ -234,12 +238,16 @@ void Guard::uncharge_locked(const std::string& client, std::uint64_t cost) {
 }
 
 void Guard::complete(const std::string& client, std::uint64_t cost,
-                     double full_ms) {
+                     double full_ms, double wait_ms) {
   std::lock_guard lock(mutex_);
   uncharge_locked(client, cost);
   // Drain-rate sample: full answers only — a sweep that quit early or was
   // shortened by brownout would make the per-unit estimate optimistic.
   if (full_ms >= 0.0) drain_.note(full_ms, cost, workers_);
+  if (wait_ms >= 0.0) {
+    ++window_.buckets[scope::Histogram::bucket_of(wait_ms)];
+    ++window_.count;
+  }
   maybe_adjust_locked(now_ms());
   m_.pressure.set(pressure_locked());
 }

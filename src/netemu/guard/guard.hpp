@@ -11,12 +11,14 @@
 //  * per-client isolation: every query carries a client identity (the
 //    "client" wire field, stamped per connection peer when absent); each
 //    client gets a token bucket (average-rate cap with burst debt) and a
-//    fair-share cap on in-flight cost, so a flood from one client sheds
-//    that client, not everybody;
+//    fair-share cap on in-flight cost, and a client shed while it holds
+//    work is held off for that shed's retry hint (the executor answers its
+//    sheds when the hold ends), so a flood from one client sheds that
+//    client, not everybody;
 //  * adaptive concurrency: an AIMD controller resizes the effective cost
-//    limit between a floor and a ceiling from its executor's
-//    netemu_execute_us histogram (scope) — p95 above target multiplies the
-//    limit down, p95 at/below target adds a fixed increment back;
+//    limit between a floor and a ceiling from how long admitted flights
+//    wait for a worker — p95 above target multiplies the limit down, p95
+//    at/below target adds a fixed increment back;
 //  * brownout: above a pressure threshold, and only while other work is
 //    pending, estimate queries are served with a reduced trial sweep,
 //    marked "degraded":true and never cached, before the guard ever sheds
@@ -94,9 +96,9 @@ struct Options {
   /// AIMD adaptive concurrency.  `adaptive` is the kill switch: off pins
   /// the effective limit to cost_budget.
   bool adaptive = true;
-  double target_p95_ms = 250.0;        ///< execute-latency target
+  double target_p95_ms = 250.0;        ///< queue-wait target
   std::uint64_t adjust_interval_ms = 100;
-  std::uint64_t adjust_min_samples = 8;  ///< skip adjust on thinner windows
+  std::uint64_t adjust_min_samples = 8;  ///< flights per vote, at least
 
   /// Brownout: while other work is pending and the cost pressure is past
   /// 0.75, estimate queries run a reduced sweep instead of their full
@@ -112,6 +114,8 @@ class Guard {
   struct Decision {
     bool admit = true;
     bool brownout = false;     ///< serve a reduced-quality answer
+    bool held = false;         ///< shed under a hold: answer it once the
+                               ///< hold ends, in retry_after_ms
     unsigned trials = 0;       ///< reduced trial count when brownout
     std::string reason;        ///< shed reason when !admit
     /// Backoff hint on every shed: the token-refill time for a rate-limit
@@ -120,9 +124,7 @@ class Guard {
   };
 
   /// Registers the netemu_guard_* metrics in `metrics` (its executor's
-  /// registry) and feeds the AIMD controller from that registry's
-  /// netemu_execute_us histogram, the residency of every request the
-  /// executor answers.  Not owned; must outlive the guard.
+  /// registry).  Not owned; must outlive the guard.
   ///
   /// `max_flights` is the count cap (the executor's max_queue): admitted
   /// flights queued or running.  `workers` drain the backlog in parallel,
@@ -141,8 +143,11 @@ class Guard {
   /// A charged flight's compute finished (any outcome): un-charge it and
   /// tick the AIMD controller when its adjust interval has elapsed.
   /// `full_ms` >= 0 is the wall time of a full answer, a drain-rate sample.
+  /// `wait_ms` >= 0 is how long the flight waited for a worker after
+  /// admission, the controller's sample: the limit can shorten that wait,
+  /// not a compute, and sheds and cache hits never reach here to dilute it.
   void complete(const std::string& client, std::uint64_t cost,
-                double full_ms = -1.0);
+                double full_ms = -1.0, double wait_ms = -1.0);
 
   /// A charged flight left without a result (drain shed of a queued task,
   /// pool rejection, watchdog abandonment): un-charge without feeding the
@@ -173,6 +178,7 @@ class Guard {
     std::uint64_t last_refill_ms = 0;
     std::uint64_t in_flight_cost = 0;
     std::uint64_t last_seen_ms = 0;
+    std::uint64_t hold_until_ms = 0;  ///< shed at once until then
   };
 
   std::uint64_t now_ms() const;
@@ -215,7 +221,6 @@ class Guard {
                 "Admission pressure: the larger of pending flights over "
                 "max_queue and pending cost over the effective limit (>= 1 = "
                 "gate closed)");
-    const scope::Histogram& execute_us = r.histogram("netemu_execute_us");
   };
 
   Options options_;
@@ -233,8 +238,7 @@ class Guard {
   DrainRate drain_;  ///< feeds the non-rate sheds' retry_after_ms
   double limit_ = 0.0;  ///< AIMD-effective cost limit
   std::uint64_t last_adjust_ms_ = 0;
-  scope::Histogram::Snapshot last_snapshot_;
-  bool have_snapshot_ = false;
+  scope::Histogram::Snapshot window_;  ///< queue-wait ms since the last vote
 };
 
 }  // namespace netemu::guard

@@ -12,15 +12,13 @@
 // Data path per connection:
 //   read until EAGAIN -> incremental '\n' framing into a request queue ->
 //   serve queue head: overlong lines answer protocol_error; every other
-//   line goes to the LineHandler on the shard, which replies through a
-//   Reply — inside its own call (taken in the same pass), later on the
-//   shard (posted to the reactor), or from another thread (the mailbox).
-//   At most ONE request is in flight per connection — the line protocol
-//   promises in-order responses; a reply carries a per-request generation
-//   -> responses append to a coalesced output buffer flushed until EAGAIN,
-//   with EPOLLOUT (edge) re-arming the flush.  A connection whose
-//   un-flushed output exceeds kMaxOutputBytes is a slow consumer and is
-//   disconnected (counted) instead of growing the heap.
+//   line goes to the LineHandler on the shard, which answers through a
+//   Reply (server.hpp).  At most ONE request is in flight per connection —
+//   the line protocol promises in-order responses; a reply carries a
+//   per-request generation -> responses append to a coalesced output
+//   buffer flushed until EAGAIN, with EPOLLOUT (edge) re-arming the flush.
+//   A connection whose un-flushed output exceeds kMaxOutputBytes is a slow
+//   consumer and is disconnected (counted) instead of growing the heap.
 //
 // Fault injection (chaos tests) fires on every non-blocking read/write:
 // kDrop closes the connection, a clamped length makes a short read/write,

@@ -83,20 +83,25 @@ void QueryExecutor::watchdog_loop() {
     const char* note;
   };
   std::unique_lock lock(mutex_);
-  while (!watchdog_stop_) {
-    watchdog_wake_at_ =
-        timers_.empty() ? Clock::time_point::max() : timers_.begin()->first;
+  while (!watchdog_stop_ || !timers_.empty()) {
     if (timers_.empty()) {
       watchdog_cv_.wait(lock);
-    } else {
-      watchdog_cv_.wait_until(lock, watchdog_wake_at_);
+    } else if (!watchdog_stop_) {
+      const Clock::time_point wake_at = timers_.begin()->first;
+      watchdog_cv_.wait_until(lock, wake_at);
     }
-    const auto now = Clock::now();
+    // Once stopping, every flight has published: what is left are held
+    // sheds, and they answer now.
+    const auto now = watchdog_stop_ ? Clock::time_point::max() : Clock::now();
     std::vector<Due> due;
     bool hung = false;
     while (!timers_.empty() && timers_.begin()->first <= now) {
       Timer t = std::move(timers_.begin()->second);
       timers_.erase(timers_.begin());
+      if (!t.flight) {
+        due.push_back({std::move(t.waiter), std::move(t.shed), "shed"});
+        continue;
+      }
       Flight& f = *t.flight;
       Response response;
       if (t.waiter) {
@@ -237,7 +242,7 @@ void QueryExecutor::execute(const Query& q,
             tid, scope::Span{"flight.join", scope::now_us(), 0,
                              "leader key=" + hex64(key)});
       }
-      add_waiter_locked(it->second, std::move(self));
+      wake_watchdog = add_waiter_locked(it->second, std::move(self));
     } else if (!q.refresh && (cached = cache_.get(key))) {
       // A leader writes the cache before it unregisters its flight, so a
       // key that missed the probe above and has no flight now may have
@@ -267,10 +272,22 @@ void QueryExecutor::execute(const Query& q,
           scope::FlightRecorder::Kind::kShed, tid,
           "shed (" + decision.reason + "): client=" + client +
               " cost=" + std::to_string(cost) + " key=" + hex64(key));
-      note = "shed";
       response.error = "overloaded: " + decision.reason;
       response.overloaded = true;
       response.retry_after_ms = decision.retry_after_ms;
+      if (decision.held) {
+        // A held client's shed answers when its hold ends (or at its
+        // deadline, if sooner), so its connections wait instead of
+        // spinning on sheds.
+        const auto timer = timers_.emplace(
+            start + std::chrono::milliseconds(
+                        std::min(decision.retry_after_ms, deadline_ms)),
+            Timer{nullptr, std::make_shared<Waiter>(std::move(self)),
+                  std::move(response)});
+        wake_watchdog = timer == timers_.begin();
+      } else {
+        note = "shed";
+      }
     } else {
       if (decision.brownout) brownout_trials = decision.trials;
       flight = std::make_shared<Flight>();
@@ -284,16 +301,11 @@ void QueryExecutor::execute(const Query& q,
       if (options_.hang_timeout_ms > 0) {
         flight->hang_timer = timers_.emplace(
             self.start + std::chrono::milliseconds(options_.hang_timeout_ms),
-            Timer{flight, nullptr});
+            Timer{flight, nullptr, {}});
       }
-      add_waiter_locked(flight, std::move(self));
+      wake_watchdog = add_waiter_locked(flight, std::move(self)) ||
+                      flight->hang_timer == timers_.begin();
       flights_[key] = flight;
-    }
-    // Wake the watchdog only when it sleeps past the earliest timer: with
-    // one default deadline, new timers land behind the one it waits for.
-    if (!timers_.empty() && timers_.begin()->first < watchdog_wake_at_) {
-      watchdog_wake_at_ = timers_.begin()->first;
-      wake_watchdog = true;
     }
   }
   if (wake_watchdog) watchdog_cv_.notify_one();
@@ -317,12 +329,12 @@ void QueryExecutor::run_flight(const std::shared_ptr<Flight>& flight,
                                unsigned brownout_trials) {
   const std::uint64_t key = flight->key;
   const std::uint64_t tid = flight->trace_id;
+  // Admission-to-pickup latency: starts at submit, ends now that a worker
+  // owns the task.  The guard's AIMD controller votes on it.
+  const std::uint64_t waited_us = scope::now_us() - submit_us;
   if (tid != 0) {
-    // Admission-to-pickup latency: starts at submit, ends now that a
-    // worker owns the task.
     scope::TraceStore::global().add(
-        tid, scope::Span{"queue.wait", submit_us,
-                         scope::now_us() - submit_us, ""});
+        tid, scope::Span{"queue.wait", submit_us, waited_us, ""});
   }
   if (options_.faults) options_.faults->on_compute();
   Response computed;
@@ -435,7 +447,8 @@ void QueryExecutor::run_flight(const std::shared_ptr<Flight>& flight,
     // waiters answered, then.
     if (retire_locked(flight, waiters)) {
       guard_.complete(flight->client, flight->cost,
-                      full ? compute_micros / 1000.0 : -1.0);
+                      full ? compute_micros / 1000.0 : -1.0,
+                      static_cast<double>(waited_us) / 1000.0);
     }
   }
   for (const WaiterPtr& w : waiters) answer(*w, computed);
@@ -514,7 +527,7 @@ void QueryExecutor::shed_unstarted_flight(
   for (const WaiterPtr& w : waiters) answer(*w, response);
 }
 
-void QueryExecutor::add_waiter_locked(const std::shared_ptr<Flight>& flight,
+bool QueryExecutor::add_waiter_locked(const std::shared_ptr<Flight>& flight,
                                       Waiter waiter) {
   // Waiters linger a short grace past the deadline: the compute token fires
   // AT the deadline and a cooperative compute then needs up to one check
@@ -528,8 +541,9 @@ void QueryExecutor::add_waiter_locked(const std::shared_ptr<Flight>& flight,
                                        ms + std::clamp<std::uint64_t>(
                                                 ms / 8, 10, 250));
   auto shared = std::make_shared<Waiter>(std::move(waiter));
-  const auto timer = timers_.emplace(when, Timer{flight, shared});
+  const auto timer = timers_.emplace(when, Timer{flight, shared, {}});
   flight->waiters.emplace_back(std::move(shared), timer);
+  return timer == timers_.begin();
 }
 
 bool QueryExecutor::retire_locked(const std::shared_ptr<Flight>& flight,

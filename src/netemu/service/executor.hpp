@@ -7,18 +7,16 @@
 //     ├─ draining ────────────────────────────────► done(shed): "overloaded:
 //     │                                             draining", no hint
 //     ├─ guard::Guard::admit refuses (count cap, ─► done(shed): "overloaded"
-//     │  rate, cost budget, fair share)             + retry_after_ms hint
+//     │  rate, cost budget, fair share)             + retry_after_ms hint;
+//     │                                             a held client's when
+//     │                                             its hold ends
 //     └─ otherwise: run plan_query() on the pool through the fair
 //        scheduler, store the result under its content address, and call
 //        every waiter's done on the worker that publishes it.
 //
 // No thread ever blocks waiting for a flight: a waiter is a callback with a
-// deadline, and the one executor thread (the watchdog) fires deadlines and
-// hang limits from a timer queue.  `done` runs exactly once per request,
-// never under an executor lock: inline (hit, shed), on the publishing worker
-// (leader and joiners), from a queued flight's shed (drain, shutdown), or on
-// the watchdog (deadline, hung flight).  The blocking execute(query) is a
-// wrapper for tests and one-shot tools.
+// deadline, and the watchdog thread fires deadlines, hang limits and the
+// ends of holds from one timer queue.
 //
 // Single-flight matters because the expensive queries are the memoizable
 // ones: a thundering herd of identical `estimate` requests triggers exactly
@@ -137,7 +135,8 @@ class QueryExecutor {
 
   /// Answer `q` through `done`, exactly once: when the answer is
   /// available, the deadline (plus a grace of clamp(deadline/8, 10, 250) ms)
-  /// passes, the watchdog cancels the flight, or the request is shed.  Never
+  /// passes, the watchdog cancels the flight, or the request is shed (a
+  /// client the guard holds off gets its shed when the hold ends).  Never
   /// blocks, and never calls `done` under an executor lock; `done` may run
   /// inline, on a pool worker or on the watchdog thread.
   void execute(const Query& q, std::function<void(Response)> done);
@@ -243,11 +242,13 @@ class QueryExecutor {
   };
   using WaiterPtr = std::shared_ptr<Waiter>;
 
-  /// A waiter's deadline (waiter set) or a flight's hang limit (waiter
-  /// null), fired by the watchdog thread.
+  /// Fired by the watchdog thread: a waiter's deadline (both set), a
+  /// flight's hang limit (waiter null), or the end of a held client's hold
+  /// (flight null: the waiter gets `shed`).
   struct Timer {
     std::shared_ptr<Flight> flight;
     WaiterPtr waiter;
+    Response shed;
   };
   using Timers = std::multimap<Clock::time_point, Timer>;
 
@@ -271,7 +272,8 @@ class QueryExecutor {
   std::optional<Response> try_cached(const Query& q, std::uint64_t key,
                                      Clock::time_point start);
   /// Add a waiter to `flight`, its deadline armed.  Caller holds mutex_.
-  void add_waiter_locked(const std::shared_ptr<Flight>& flight,
+  /// True when that deadline is now the earliest timer: wake the watchdog.
+  bool add_waiter_locked(const std::shared_ptr<Flight>& flight,
                          Waiter waiter);
   /// Take a flight out of the single-flight map (cancelling its hang timer)
   /// and move its waiters into `waiters` (cancelling their deadlines), for
@@ -361,7 +363,6 @@ class QueryExecutor {
   // Waiter deadlines and hang limits, earliest first; the watchdog thread
   // sleeps until the first one.
   Timers timers_;
-  Clock::time_point watchdog_wake_at_ = Clock::time_point::max();
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
   std::thread watchdog_;

@@ -4,11 +4,9 @@
 // "I/O plane").
 //
 // The listener is decoupled from what answers the lines: every line goes to
-// one LineHandler on the reactor shard that framed it.  netemu_serve's
-// handler (executor_line_handler, protocol.hpp) answers the fast path and
-// the control ops on the shard and hands queries to the executor, which
-// replies from a pool worker; the fleet front door races each line over
-// backend connections from the shard itself.
+// one LineHandler on the reactor shard that framed it (netemu_serve's is
+// executor_line_handler, protocol.hpp; the fleet front door's races each
+// line over backend connections).
 //
 // One acceptor distributes non-blocking connections round-robin across
 // `io_threads` reactor shards; each shard owns its fds with edge-triggered

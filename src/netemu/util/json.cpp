@@ -1,5 +1,6 @@
 #include "netemu/util/json.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -309,6 +310,10 @@ JsonArray& Json::items() {
     arr_ = std::make_shared<JsonArray>();
   } else if (arr_.use_count() > 1) {
     arr_ = std::make_shared<JsonArray>(*arr_);  // detach before writing
+  } else {
+    // Sole owner, by a relaxed count: order these writes after the reads
+    // of a copy that another thread has just dropped.
+    std::atomic_thread_fence(std::memory_order_acquire);
   }
   return *arr_;
 }
@@ -319,6 +324,10 @@ JsonObject& Json::fields() {
     obj_ = std::make_shared<JsonObject>();
   } else if (obj_.use_count() > 1) {
     obj_ = std::make_shared<JsonObject>(*obj_);  // detach before writing
+  } else {
+    // Sole owner, by a relaxed count: order these writes after the reads
+    // of a copy that another thread has just dropped.
+    std::atomic_thread_fence(std::memory_order_acquire);
   }
   return *obj_;
 }

@@ -183,6 +183,45 @@ TEST(GuardAdmit, FairShareCapsOneClientNotTheOthers) {
   guard.complete("polite", 40);
 }
 
+TEST(GuardAdmit, AClientShedWhileHoldingWorkWaitsOutItsHint) {
+  std::uint64_t now = 0;
+  guard::Options opts;
+  opts.cost_budget = 100;
+  opts.client_share = 0.5;
+  opts.adaptive = false;
+  opts.clock_ms = [&now] { return now; };
+  scope::Registry metrics;
+  guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
+
+  ASSERT_TRUE(guard.admit("greedy", closed_form_query(), 40).admit);
+  const guard::Guard::Decision over =
+      guard.admit("greedy", closed_form_query(), 40);
+  ASSERT_FALSE(over.admit);
+  EXPECT_TRUE(over.held);
+  EXPECT_EQ(over.retry_after_ms, 50u);
+  // Its flight completes, but asking again inside the hint is shed at once,
+  // with what is left of the hint...
+  guard.complete("greedy", 40);
+  now += 20;
+  const guard::Guard::Decision early =
+      guard.admit("greedy", closed_form_query(), 40);
+  EXPECT_FALSE(early.admit);
+  EXPECT_TRUE(early.held);
+  EXPECT_EQ(early.reason, "client over fair share");
+  EXPECT_EQ(early.retry_after_ms, 30u);
+  // ...while another client is admitted, and so is this one once the hint
+  // has passed.
+  EXPECT_TRUE(guard.admit("polite", closed_form_query(), 40).admit);
+  now += 30;
+  EXPECT_TRUE(guard.admit("greedy", closed_form_query(), 40).admit);
+  EXPECT_EQ(metrics.counter_value("netemu_guard_share_exceeded_total"), 2u);
+  // A client shed while it holds nothing is not held.
+  const guard::Guard::Decision full =
+      guard.admit("stranger", closed_form_query(), 40);
+  EXPECT_EQ(full.reason, "cost budget full");
+  EXPECT_FALSE(full.held);
+}
+
 TEST(GuardAdmit, RateLimitRefillsOverFakeTime) {
   std::uint64_t now = 0;
   guard::Options opts;
@@ -333,7 +372,6 @@ TEST(GuardBrownout, LoneRequestOnAnIdleGuardKeepsItsFullSweep) {
 TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   std::uint64_t now = 0;
   scope::Registry metrics;  // stands in for the executor's registry
-  scope::Histogram& hist = metrics.histogram("netemu_execute_us");
   guard::Options opts;
   opts.cost_budget = 100;
   opts.target_p95_ms = 10.0;
@@ -343,30 +381,36 @@ TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   EXPECT_EQ(guard.effective_limit(), 100u);
 
-  const auto tick = [&] {
-    ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
-    guard.complete("a", 1);  // complete() runs the controller
+  // `flights` completed flights, each having waited `wait_ms` for a worker.
+  const auto complete = [&](int flights, double wait_ms) {
+    for (int i = 0; i < flights; ++i) {
+      ASSERT_TRUE(guard.admit("a", closed_form_query(), 1).admit);
+      guard.complete("a", 1, -1.0, wait_ms);  // complete() runs the controller
+    }
   };
 
   now = 150;
-  tick();  // first adjustment only baselines the snapshot
-  for (int i = 0; i < 10; ++i) hist.observe(50000.0);  // 50 ms in us
-  now = 300;
-  tick();  // p95 ~50 ms > 10 ms target: multiplicative decrease
+  complete(8, 50.0);  // p95 ~50 ms > 10 ms target: multiplicative decrease
   EXPECT_EQ(guard.effective_limit(), 70u);  // 100 x 0.7
   EXPECT_GE(metrics.counter_value("netemu_guard_limit_decreases_total"), 1u);
 
-  for (int i = 0; i < 10; ++i) hist.observe(1000.0);  // 1 ms: healthy
-  now = 450;
-  tick();  // p95 below target: additive increase of 5% of the budget
+  now = 300;
+  complete(8, 1.0);  // p95 below target: additive increase of 5% of the budget
   EXPECT_EQ(guard.effective_limit(), 75u);
   EXPECT_GE(metrics.counter_value("netemu_guard_limit_increases_total"), 1u);
+
+  // A thin window keeps its samples: they vote with the next ones.
+  now = 450;
+  complete(3, 50.0);
+  EXPECT_EQ(guard.effective_limit(), 75u);
+  now = 600;
+  complete(5, 50.0);
+  EXPECT_EQ(guard.effective_limit(), 52u);  // 75 x 0.7
 }
 
 TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   std::uint64_t now = 0;
   scope::Registry metrics;
-  scope::Histogram& hist = metrics.histogram("netemu_execute_us");
   guard::Options opts;
   opts.cost_budget = 100;
   opts.adjust_interval_ms = 100;
@@ -376,21 +420,20 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   {
     guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
     now = 150;
-    guard.admit("a", closed_form_query(), 1);
-    guard.complete("a", 1);  // baseline
-    for (int i = 0; i < 3; ++i) hist.observe(90000.0);  // 3 < min_samples
-    now = 300;
-    guard.admit("a", closed_form_query(), 1);
-    guard.complete("a", 1);
+    for (int i = 0; i < 3; ++i) {  // 3 < min_samples
+      guard.admit("a", closed_form_query(), 1);
+      guard.complete("a", 1, -1.0, 900.0);
+    }
     EXPECT_EQ(guard.effective_limit(), 100u);  // thin window: no vote
   }
   {
     opts.adaptive = false;  // kill switch pins the limit outright
     guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
-    for (int i = 0; i < 20; ++i) hist.observe(90000.0);
     now += 1000;
-    guard.admit("a", closed_form_query(), 1);
-    guard.complete("a", 1);
+    for (int i = 0; i < 20; ++i) {
+      guard.admit("a", closed_form_query(), 1);
+      guard.complete("a", 1, -1.0, 900.0);
+    }
     EXPECT_EQ(guard.effective_limit(), 100u);
     EXPECT_EQ(metrics.counter_value("netemu_guard_limit_decreases_total"), 0u);
   }
@@ -641,6 +684,90 @@ TEST(ExecutorGuard, ShedResponsesCarryOverloadedAndAHint) {
   leader.join();
   EXPECT_TRUE(first.ok) << first.error;
   EXPECT_EQ(exec.stats().rejected, 1u);
+}
+
+TEST(ExecutorGuard, AHeldClientsShedAnswersWhenItsHoldEnds) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  QueryExecutor::Options options;
+  options.threads = 1;
+  options.retry_after_hint_ms = 200;
+  options.guard.cost_budget = 1;  // one closed-form unit fills the gate
+  options.guard.adaptive = false;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  options.compute = [&](const Query& q, const CancelToken&) {
+    std::unique_lock lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return gate_open; });
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor exec(options);
+
+  Response first;
+  std::thread leader([&] { first = exec.execute(estimate_query(64, 1)); });
+  ASSERT_TRUE(eventually([&] { return exec.pending() == 1; }));
+
+  // The same client asks again while its flight fills the budget: it is
+  // held off for the 200 ms hint, and the shed answers when the hold ends.
+  auto t0 = steady_clock::now();
+  const Response held = exec.execute(estimate_query(65, 1));
+  EXPECT_TRUE(held.overloaded);
+  EXPECT_GE(steady_clock::now() - t0, milliseconds(150));
+  // A client holding no work is shed at once.
+  Query other = estimate_query(66, 1);
+  other.client = "polite";
+  t0 = steady_clock::now();
+  const Response shed = exec.execute(other);
+  EXPECT_TRUE(shed.overloaded);
+  EXPECT_LT(steady_clock::now() - t0, milliseconds(150));
+
+  {
+    std::lock_guard lock(gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  leader.join();
+  EXPECT_TRUE(first.ok) << first.error;
+}
+
+TEST(ExecutorGuard, HeldShedsAnswerWhenTheExecutorStops) {
+  QueryExecutor::Options options;
+  options.threads = 1;
+  options.retry_after_hint_ms = 10000;  // a hold far longer than the test
+  options.guard.cost_budget = 1;
+  options.guard.adaptive = false;
+  auto gate = std::make_shared<std::promise<void>>();
+  const std::shared_future<void> gate_future = gate->get_future().share();
+  options.compute = [gate_future](const Query& q, const CancelToken&) {
+    gate_future.wait();
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  auto exec = std::make_unique<QueryExecutor>(options);
+
+  Response first;
+  std::thread leader([&] { first = exec->execute(estimate_query(64, 1)); });
+  ASSERT_TRUE(eventually([&] { return exec->pending() == 1; }));
+  std::promise<Response> held;
+  exec->execute(estimate_query(65, 1),
+                [&held](Response r) { held.set_value(std::move(r)); });
+  std::future<Response> answer = held.get_future();
+  EXPECT_EQ(answer.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);  // held, not shed at once
+
+  const auto t0 = std::chrono::steady_clock::now();
+  gate->set_value();
+  leader.join();
+  exec.reset();
+  ASSERT_EQ(answer.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_TRUE(first.ok) << first.error;
+  EXPECT_TRUE(answer.get().overloaded);
 }
 
 TEST(ExecutorGuard, WatchdogAbandonmentReleasesTheCharge) {
