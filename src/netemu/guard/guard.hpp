@@ -200,7 +200,8 @@ class Guard {
         "Queries shed because the admitted cost budget was full");
     scope::Counter& shed_share = r.counter(
         "netemu_guard_share_exceeded_total",
-        "Queries shed because the client exceeded its fair-share cost cap");
+        "Queries shed because the client exceeded its fair-share cost cap "
+        "or was held off after a shed");
     scope::Counter& shed_rate = r.counter(
         "netemu_guard_rate_limited_total",
         "Queries shed because the client's token bucket was empty");
