@@ -174,8 +174,7 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   }
   const auto hold = [&](const char* reason) {
     shed(reason);
-    d.held = c.in_flight_cost > 0;
-    if (d.held) c.hold_until_ms = now + d.retry_after_ms;
+    if (c.in_flight_cost > 0) c.hold_until_ms = now + d.retry_after_ms;
     return d;
   };
 

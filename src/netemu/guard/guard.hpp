@@ -12,9 +12,9 @@
 //    "client" wire field, stamped per connection peer when absent); each
 //    client gets a token bucket (average-rate cap with burst debt) and a
 //    fair-share cap on in-flight cost, and a client shed while it holds
-//    work is held off for that shed's retry hint (the executor answers its
-//    sheds when the hold ends), so a flood from one client sheds that
-//    client, not everybody;
+//    work is held off for that shed's retry hint (the executor answers
+//    what it asks meanwhile when the hold ends), so a flood from one
+//    client sheds that client, not everybody;
 //  * adaptive concurrency: an AIMD controller resizes the effective cost
 //    limit between a floor and a ceiling from how long admitted flights
 //    wait for a worker — p95 above target multiplies the limit down, p95
@@ -114,8 +114,8 @@ class Guard {
   struct Decision {
     bool admit = true;
     bool brownout = false;     ///< serve a reduced-quality answer
-    bool held = false;         ///< shed under a hold: answer it once the
-                               ///< hold ends, in retry_after_ms
+    bool held = false;         ///< asked during a hold: answer the shed
+                               ///< once the hold ends, in retry_after_ms
     unsigned trials = 0;       ///< reduced trial count when brownout
     std::string reason;        ///< shed reason when !admit
     /// Backoff hint on every shed: the token-refill time for a rate-limit

@@ -197,7 +197,7 @@ TEST(GuardAdmit, AClientShedWhileHoldingWorkWaitsOutItsHint) {
   const guard::Guard::Decision over =
       guard.admit("greedy", closed_form_query(), 40);
   ASSERT_FALSE(over.admit);
-  EXPECT_TRUE(over.held);
+  EXPECT_FALSE(over.held);  // the shed that starts a hold answers at once
   EXPECT_EQ(over.retry_after_ms, 50u);
   // Its flight completes, but asking again inside the hint is shed at once,
   // with what is left of the hint...
@@ -710,14 +710,20 @@ TEST(ExecutorGuard, AHeldClientsShedAnswersWhenItsHoldEnds) {
   std::thread leader([&] { first = exec.execute(estimate_query(64, 1)); });
   ASSERT_TRUE(eventually([&] { return exec.pending() == 1; }));
 
-  // The same client asks again while its flight fills the budget: it is
-  // held off for the 200 ms hint, and the shed answers when the hold ends.
+  // The same client asks again while its flight fills the budget: shed at
+  // once with the 200 ms hint, which starts a hold...
   auto t0 = steady_clock::now();
-  const Response held = exec.execute(estimate_query(65, 1));
+  const Response first_shed = exec.execute(estimate_query(65, 1));
+  EXPECT_TRUE(first_shed.overloaded);
+  EXPECT_EQ(first_shed.retry_after_ms, 200u);
+  EXPECT_LT(steady_clock::now() - t0, milliseconds(150));
+  // ...and asking again inside it is answered when the hold ends.
+  t0 = steady_clock::now();
+  const Response held = exec.execute(estimate_query(66, 1));
   EXPECT_TRUE(held.overloaded);
-  EXPECT_GE(steady_clock::now() - t0, milliseconds(150));
+  EXPECT_GE(steady_clock::now() - t0, milliseconds(100));
   // A client holding no work is shed at once.
-  Query other = estimate_query(66, 1);
+  Query other = estimate_query(67, 1);
   other.client = "polite";
   t0 = steady_clock::now();
   const Response shed = exec.execute(other);
@@ -752,8 +758,9 @@ TEST(ExecutorGuard, HeldShedsAnswerWhenTheExecutorStops) {
   Response first;
   std::thread leader([&] { first = exec->execute(estimate_query(64, 1)); });
   ASSERT_TRUE(eventually([&] { return exec->pending() == 1; }));
+  EXPECT_TRUE(exec->execute(estimate_query(65, 1)).overloaded);  // holds
   std::promise<Response> held;
-  exec->execute(estimate_query(65, 1),
+  exec->execute(estimate_query(66, 1),
                 [&held](Response r) { held.set_value(std::move(r)); });
   std::future<Response> answer = held.get_future();
   EXPECT_EQ(answer.wait_for(std::chrono::milliseconds(50)),
