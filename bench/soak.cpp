@@ -116,7 +116,7 @@ struct Answers {
 std::optional<Json> ask(std::uint16_t port, const Json& q,
                         std::string* error) {
   Client client;
-  if (!client.connect(port, error)) return std::nullopt;
+  client.set_target(port);
   return client.request(q, error);
 }
 

@@ -21,6 +21,7 @@
 //   $ netemu_query ping --repeat 10000 --concurrency 8
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <iostream>
 #include <thread>
@@ -266,17 +267,16 @@ int main(int argc, char** argv) {
     policy.max_attempts =
         static_cast<int>(cli.get_int("attempts", policy.max_attempts));
     Client client(policy);
-    std::string error;
-    if (!client.connect(port, &error)) {
-      std::cerr << cli.program() << ": " << error
-                << "\n(start netemu_serve, or pass --local)\n";
-      return 1;
-    }
+    client.set_target(port);
     // The retrying path: transport failures reconnect with backoff and
     // "overloaded" responses honor the server's retry_after_ms hint.
+    std::string error;
     const auto response = client.request(request, &error);
     if (!response) {
       std::cerr << cli.program() << ": " << error << "\n";
+      if (client.last_connect_errno() == ECONNREFUSED) {
+        std::cerr << "(start netemu_serve, or pass --local)\n";
+      }
       return 1;
     }
     response_line = response->dump();

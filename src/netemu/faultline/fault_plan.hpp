@@ -24,7 +24,7 @@ namespace netemu {
 struct FaultPlan {
   std::uint64_t seed = 1;
 
-  // Socket layer (LineChannel).
+  // Socket layer (server shards, ExchangePool, LineChannel).
   double drop_p = 0.0;     ///< per-I/O-op chance the connection "drops"
   double partial_p = 0.0;  ///< per-I/O-op chance of a short read/write
   double slow_p = 0.0;     ///< per-I/O-op chance of sleeping slow_ms first

@@ -2,7 +2,7 @@
 // FaultInjector: the imperative half of netemu::faultline.
 //
 // One injector instance is shared by every hook point in a service stack
-// (client channel, server channels, result cache, executor workers).  Each
+// (client exchanges, server shards, result cache, executor workers).  Each
 // hook asks the injector whether to fault *this* operation; the injector
 // draws from a single seeded PRNG stream and counts what it injected, so a
 // chaos test can assert both that faults actually fired and that the stack

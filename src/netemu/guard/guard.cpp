@@ -15,6 +15,8 @@ constexpr double kLimitCeiling = 2.0;       ///< x cost_budget
 constexpr double kBrownoutPressure = 0.75;  ///< cost pressure that browns out
 constexpr double kBrownoutKeep = 0.25;      ///< fraction of trials kept
 constexpr unsigned kBrownoutMinTrials = 1;  ///< fewest trials kept
+constexpr std::uint64_t kAdjustIntervalMs = 100;  ///< AIMD vote period
+constexpr std::uint64_t kAdjustMinSamples = 8;    ///< flights per vote
 }  // namespace
 
 void DrainRate::note(double busy_ms, std::uint64_t cost,
@@ -108,8 +110,8 @@ void Guard::evict_idle_locked(std::uint64_t now) {
 void Guard::maybe_adjust_locked(std::uint64_t now) {
   if (!options_.adaptive) return;
   // A thin window keeps collecting until it holds enough flights to vote.
-  if (now - last_adjust_ms_ < options_.adjust_interval_ms ||
-      window_.count < options_.adjust_min_samples) {
+  if (now - last_adjust_ms_ < kAdjustIntervalMs ||
+      window_.count < kAdjustMinSamples) {
     return;
   }
   last_adjust_ms_ = now;
@@ -163,7 +165,8 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
 
   // A client shed while it held work waits out that shed's hint: asking
   // again from its other connections the moment budget frees would outrace
-  // the clients that back off as told, and spin the shards on sheds.
+  // the clients that back off as told, and spin the shards on sheds.  No
+  // one caller owns the anonymous identity, so it never starts a hold.
   if (now < c.hold_until_ms) {
     m_.shed_share.inc();
     d.admit = false;
@@ -174,7 +177,9 @@ Guard::Decision Guard::admit(const std::string& client, const Query& q,
   }
   const auto hold = [&](const char* reason) {
     shed(reason);
-    if (c.in_flight_cost > 0) c.hold_until_ms = now + d.retry_after_ms;
+    if (c.in_flight_cost > 0 && client != kAnonymousClient) {
+      c.hold_until_ms = now + d.retry_after_ms;
+    }
     return d;
   };
 

@@ -13,8 +13,8 @@
 //    client gets a token bucket (average-rate cap with burst debt) and a
 //    fair-share cap on in-flight cost, and a client shed while it holds
 //    work is held off for that shed's retry hint (the executor answers
-//    what it asks meanwhile when the hold ends), so a flood from one
-//    client sheds that client, not everybody;
+//    what it asks meanwhile when the hold ends; kAnonymousClient is never
+//    held), so a flood from one client sheds that client, not everybody;
 //  * adaptive concurrency: an AIMD controller resizes the effective cost
 //    limit between a floor and a ceiling from how long admitted flights
 //    wait for a worker — p95 above target multiplies the limit down, p95
@@ -72,6 +72,11 @@ class DrainRate {
   std::uint64_t samples_ = 0;
 };
 
+/// The identity of a query that names no client (an in-process caller; the
+/// daemon stamps every connection's peer).  Callers that share it are not
+/// one client, so it is never held off after a shed.
+inline constexpr const char* kAnonymousClient = "anon";
+
 struct Options {
   /// Admission budget in cost units (guard/cost.hpp).  0 derives
   /// 8 x max_queue from the executor's options — eight closed-form units
@@ -97,8 +102,6 @@ struct Options {
   /// the effective limit to cost_budget.
   bool adaptive = true;
   double target_p95_ms = 250.0;        ///< queue-wait target
-  std::uint64_t adjust_interval_ms = 100;
-  std::uint64_t adjust_min_samples = 8;  ///< flights per vote, at least
 
   /// Brownout: while other work is pending and the cost pressure is past
   /// 0.75, estimate queries run a reduced sweep instead of their full

@@ -1,25 +1,28 @@
 #pragma once
-// Blocking client for the planner daemon: connect, send request documents,
-// read response documents.  One Client per connection; not thread-safe
-// (the protocol is request/response in order on one socket).
+// Client for the planner daemon.  Not thread-safe: one caller at a time.
 //
-// Resilience: request() retries transport failures (connection drops, torn
-// responses, per-attempt timeouts) on a fresh connection with exponential
-// backoff + deterministic jitter, and honors the server's "overloaded"
-// shedding responses (sleeping the suggested retry_after_ms before trying
-// again).  Retrying is safe because every query op is idempotent — results
-// are content-addressed, so a request whose response was lost re-reads the
-// same address.  A refused connection is the exception: the backend process
-// is down, so request() fails fast (kConnectRefused, no backoff) and lets
-// the caller — typically a FleetRouter — fail over to another backend.
-// request_raw() stays a single-attempt fast path.
+// request() and request_outcome() run one ExchangePool exchange
+// (service/exchange.hpp, the one retry engine) on a Reactor this client
+// owns and turns on the calling thread until the outcome is in.  So they
+// retry transport failures (connection drops, torn responses, attempt
+// timeouts) on a fresh connection with exponential backoff + deterministic
+// jitter, and retry the server's "overloaded" sheds after their
+// retry_after_ms hint.  Retrying is safe because every query op is
+// idempotent — results are content-addressed, so a request whose response
+// was lost re-reads the same address.  A refused connection is the
+// exception: the backend process is down, so the request fails fast
+// (kConnectRefused, no backoff) and lets the caller — typically a
+// FleetRouter — fail over to another backend.
 //
 // Deadline budget: a request document carrying "deadline_ms" gets ONE
-// budget for the whole request() — retries included.  Every backoff sleep
-// and per-attempt socket timeout draws from what is left of that window,
-// and retrying stops when the budget is spent, instead of each attempt
-// being granted the full allowance over again (which could stretch a
-// 200 ms deadline into seconds of client-side retrying).
+// budget for the whole request — retries included.  Every backoff and every
+// attempt's timeout draws from what is left of that window, and retrying
+// stops when the budget is spent.
+//
+// The reactor and its one pooled connection are built by the first
+// request*, never for a client that only speaks raw: connect() and
+// request_raw() stay a blocking single-attempt path on one socket (the
+// benches' hot loops), with attempt_timeout_ms as its send/recv timeout.
 
 #include <cstdint>
 #include <memory>
@@ -27,12 +30,13 @@
 #include <string>
 
 #include "netemu/util/json.hpp"
-#include "netemu/util/prng.hpp"
 
 namespace netemu {
 
-class LineChannel;
+class ExchangePool;
 class FaultInjector;
+class LineChannel;
+class Reactor;
 
 /// Why a request failed at the transport level (RequestOutcome::failure).
 /// The distinction matters to a multi-backend router: a refused connection
@@ -57,8 +61,9 @@ class Client {
     int max_attempts = 3;  ///< total attempts per request() (>= 1)
     std::uint32_t base_backoff_ms = 10;   ///< first retry delay
     std::uint32_t max_backoff_ms = 500;   ///< exponential growth cap
-    std::uint32_t attempt_timeout_ms = 0; ///< per-attempt socket send/recv
-                                          ///< timeout; 0 = none
+    std::uint32_t attempt_timeout_ms = 0; ///< bound on each attempt (and
+                                          ///< the raw socket's send/recv
+                                          ///< timeout); 0 = none
     bool retry_overloaded = true;  ///< retry shed responses after their hint
     std::uint64_t jitter_seed = 0; ///< 0 = derived per client
   };
@@ -70,18 +75,21 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Connect to the daemon at 127.0.0.1:port.  False + *error on failure.
-  /// The port is remembered so retries can reconnect.
+  /// Open the raw connection to the daemon at 127.0.0.1:port (for
+  /// request_raw) and make `port` the target of request*.  False + *error
+  /// on failure.
   bool connect(std::uint16_t port, std::string* error = nullptr);
 
-  /// Remember `port` as the reconnect target without connecting yet; the
-  /// first request() connects lazily (and a refused connect fails fast).
+  /// Make `port` the target of request* without opening a raw connection;
+  /// the first request* connects (and a refused connect fails fast).
   void set_target(std::uint16_t port) { port_ = port; }
 
   bool connected() const { return fd_ >= 0; }
+  /// Close the raw connection.
   void close();
 
-  /// errno of the last failed connect() (0 when it succeeded).
+  /// errno of the last failed connect() (0 when it succeeded), or
+  /// ECONNREFUSED when the last request*'s connection was refused.
   int last_connect_errno() const { return connect_errno_; }
 
   /// Send one request document, block for the response document, retrying
@@ -92,9 +100,9 @@ class Client {
   /// The structured result of one request(): the response document when any
   /// arrived (even a server-side error or a shed — those are authoritative),
   /// otherwise the transport-level failure kind.  A refused connection
-  /// returns immediately with kConnectRefused — no backoff sleep, no
-  /// further attempts — so a fleet router can eject the backend and fail
-  /// over without eating the retry schedule.
+  /// returns at once with kConnectRefused — no backoff, no further
+  /// attempts — so a fleet router can eject the backend and fail over
+  /// without eating the retry schedule.
   struct RequestOutcome {
     std::optional<Json> doc;
     RequestFailure failure = RequestFailure::kNone;
@@ -104,12 +112,12 @@ class Client {
   };
   RequestOutcome request_outcome(const Json& request_doc);
 
-  /// Raw variant: exchange pre-serialized lines (the bench's hot loop).
-  /// Single attempt, no retries.
+  /// Raw variant: exchange pre-serialized lines over the connect()ed
+  /// socket (the bench's hot loop).  Single attempt, no retries.
   bool request_raw(const std::string& request_line, std::string& response_line);
 
-  /// Transport-level retries performed by request() so far (reconnects and
-  /// overload backoffs both count).
+  /// Retries performed by request*() so far (after transport failures and
+  /// after sheds both count).
   std::uint64_t retries() const { return retries_; }
 
   const RetryPolicy& policy() const { return policy_; }
@@ -119,25 +127,15 @@ class Client {
   void set_fault_injector(FaultInjector* injector);
 
  private:
-  bool reconnect(std::string* error);
-  /// Backoff before retry `retry_index`; `cap_ms` (when nonzero) bounds the
-  /// sleep to the remaining deadline budget.
-  void backoff_sleep(int retry_index, std::uint64_t hint_ms,
-                     std::uint64_t cap_ms);
-  /// (Re)arm SO_RCVTIMEO/SO_SNDTIMEO on the current socket; 0 clears them.
-  void apply_socket_timeout(std::uint64_t timeout_ms);
-
   RetryPolicy policy_;
-  Prng jitter_;
-  int fd_ = -1;
-  std::uint16_t port_ = 0;  ///< reconnect target (last connect / set_target)
+  int fd_ = -1;             ///< the raw connection
+  std::uint16_t port_ = 0;  ///< request* target (last connect / set_target)
   int connect_errno_ = 0;
-  /// A deadline budget shortened this connection's socket timeouts; the
-  /// next unbudgeted request must restore the policy value first.
-  bool socket_timeout_overridden_ = false;
   std::uint64_t retries_ = 0;
   FaultInjector* faults_ = nullptr;
   std::unique_ptr<LineChannel> channel_;  // persists read buffer across requests
+  std::unique_ptr<Reactor> reactor_;      // built by the first request*
+  std::unique_ptr<ExchangePool> pool_;    // declared after: destroyed first
 };
 
 }  // namespace netemu

@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "netemu/faultline/injector.hpp"
+
 namespace netemu {
 
 namespace {
@@ -115,6 +117,7 @@ std::size_t ExchangePool::unsent() const {
 
 void ExchangePool::begin_attempt(Exchange& ex) {
   ex.out.attempts = ++ex.attempt;
+  ex.out.doc.reset();  // a shed being retried
   ex.sent = false;
   Conn* conn = nullptr;
   std::vector<Conn*>& idle = idle_[ex.port];
@@ -167,7 +170,7 @@ void ExchangePool::begin_attempt(Exchange& ex) {
   }
 }
 
-void ExchangePool::retry_after(Exchange& ex) {
+void ExchangePool::retry_after(Exchange& ex, std::uint64_t hint_ms) {
   if (ex.attempt >= policy_.max_attempts) {
     finish(ex);
     return;
@@ -176,17 +179,20 @@ void ExchangePool::retry_after(Exchange& ex) {
   if (ex.budget_ms > 0) {
     cap = ex.remaining_ms();
     if (cap == 0) {
-      ex.out.error += " (deadline budget exhausted)";
+      if (!ex.out.doc) ex.out.error += " (deadline budget exhausted)";
       finish(ex);
       return;
     }
   }
-  // Client's schedule: exponential from the base, capped, plus up to 50%
+  // Exponential from the base (or the shed's hint), capped, plus up to 50%
   // jitter so a herd of retrying callers decorrelates; the deadline budget
-  // wins over both.
-  std::uint64_t ms = policy_.base_backoff_ms;
-  for (int i = 0; i < ex.attempt - 1 && ms < policy_.max_backoff_ms; ++i) {
-    ms *= 2;
+  // wins over all of it.
+  std::uint64_t ms = hint_ms;
+  if (ms == 0) {
+    ms = policy_.base_backoff_ms;
+    for (int i = 0; i < ex.attempt - 1 && ms < policy_.max_backoff_ms; ++i) {
+      ms *= 2;
+    }
   }
   ms = std::min<std::uint64_t>(ms, policy_.max_backoff_ms);
   if (ms > 0) ms += jitter_.below(ms / 2 + 1);
@@ -242,12 +248,19 @@ void ExchangePool::on_conn_event(Conn& conn, std::uint32_t events) {
   bool eof = false;
   char chunk[16384];
   for (;;) {
-    const ssize_t got = ::read(conn.fd, chunk, sizeof(chunk));
+    std::size_t want = sizeof(chunk);
+    if (faults_ != nullptr &&
+        faults_->on_io(want) == FaultInjector::IoFault::kDrop) {
+      fail_attempt(conn, RequestFailure::kTransport, kTransportError);
+      return;
+    }
+    const ssize_t got = ::read(conn.fd, chunk, want);
     if (got > 0) {
       conn.in.append(chunk, static_cast<std::size_t>(got));
-      // A short read drained the socket; keep reading only to see the EOF
-      // a hang-up promises.
-      if (static_cast<std::size_t>(got) < sizeof(chunk) && !hangup) break;
+      // A read short of `want` drained the socket (a short `want` did not:
+      // the edge will not report the rest); keep reading only to see the
+      // EOF a hang-up promises.
+      if (static_cast<std::size_t>(got) < want && !hangup) break;
       continue;
     }
     if (got < 0 && errno == EINTR) continue;
@@ -280,8 +293,13 @@ void ExchangePool::on_conn_event(Conn& conn, std::uint32_t events) {
 
 bool ExchangePool::flush(Conn& conn) {
   while (conn.out_pos < conn.out.size()) {
-    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_pos,
-                             conn.out.size() - conn.out_pos, MSG_NOSIGNAL);
+    std::size_t want = conn.out.size() - conn.out_pos;
+    if (faults_ != nullptr &&
+        faults_->on_io(want) == FaultInjector::IoFault::kDrop) {
+      return false;
+    }
+    const ssize_t n =
+        ::send(conn.fd, conn.out.data() + conn.out_pos, want, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno == EAGAIN || errno == EWOULDBLOCK;  // EPOLLOUT resumes
@@ -314,13 +332,21 @@ void ExchangePool::on_response(Conn& conn, std::string line, bool reusable) {
   } else {
     close(conn);
   }
-  // A shed ends the exchange with its document (it carries the backend's
-  // retry hint); the caller decides whether to fail it over.
-  const bool shed = !doc["ok"].as_bool() && doc["overloaded"].as_bool();
+  // A shed carries the backend's retry hint: with retry_overloaded the
+  // exchange waits it out and asks again on the connection released above.
+  // Otherwise, or with no retry left, the shed is the outcome and the
+  // caller decides whether to fail it over.
+  const Json& view = doc;  // reads must not insert null fields
+  const bool shed = !view["ok"].as_bool() && view["overloaded"].as_bool();
+  const std::uint64_t hint_ms = shed ? view["retry_after_ms"].as_uint(0) : 0;
   ex.out.doc = std::move(doc);
   ex.out.failure = shed ? RequestFailure::kOverloaded : RequestFailure::kNone;
   ex.out.error.clear();
-  finish(ex);
+  if (shed && policy_.retry_overloaded) {
+    retry_after(ex, hint_ms);
+  } else {
+    finish(ex);
+  }
 }
 
 void ExchangePool::fail_attempt(Conn& conn, RequestFailure failure,

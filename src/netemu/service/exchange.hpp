@@ -1,18 +1,23 @@
 #pragma once
-// ExchangePool: the non-blocking twin of Client::request_outcome, run on a
-// Reactor.  An exchange sends one request line to 127.0.0.1:<port> over a
-// pooled non-blocking connection and ends in exactly one outcome: a
-// response document (a shed is flagged kOverloaded, as request_outcome
-// reports it with retry_overloaded off) or a classified failure —
-// connect refused, transport (a drop or a timeout), protocol (an
-// unparseable line), deadline (the request's own budget ran out).
+// ExchangePool: the one engine that sends a line-protocol request and
+// retries it, run on a Reactor.  An exchange sends one request line to
+// 127.0.0.1:<port> over a pooled non-blocking connection and ends in
+// exactly one outcome: a response document (a final shed is flagged
+// kOverloaded) or a classified failure — connect refused, transport (a
+// drop or a timeout), protocol (an unparseable line), deadline (the
+// request's own budget ran out).  Client::request_outcome runs one on a
+// reactor its caller's thread turns; a FleetRouter runs each race leg as
+// one on a shard's reactor.
 //
-// Client::RetryPolicy applies (retry_overloaded aside: a shed always ends
-// the exchange), with every wait a reactor timer:
+// Client::RetryPolicy applies, with every wait a reactor timer:
 //   - a refused connect ends the exchange at once, with no backoff (the
 //     backend process is down; the caller fails over);
 //   - a transport or protocol failure retries on a fresh connection after
 //     the jittered exponential backoff, up to max_attempts;
+//   - a shed, with retry_overloaded set, retries on the same connection
+//     after the shed's retry_after_ms hint (jittered and capped like the
+//     backoff; a hint of 0 takes the exponential schedule).  Without it,
+//     or with no retry left, the shed document is the outcome;
 //   - attempt_timeout_ms bounds each attempt (0: no bound);
 //   - a deadline budget (the request's deadline_ms) covers the whole
 //     exchange: each attempt's timeout and each backoff draw from what is
@@ -42,6 +47,8 @@
 
 namespace netemu {
 
+class FaultInjector;
+
 class ExchangePool {
  public:
   using Done = std::function<void(Client::RequestOutcome outcome)>;
@@ -67,12 +74,19 @@ class ExchangePool {
   /// backing off, or blocked on a full socket buffer).
   std::size_t unsent() const;
 
+  /// Route every send and read through a fault injector (chaos testing):
+  /// a drop fails the attempt as a transport failure, a clamped length
+  /// makes a short transfer.  Not owned; nullptr disables.
+  void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
+
  private:
   struct Conn;
   struct Exchange;
 
   void begin_attempt(Exchange& ex);
-  void retry_after(Exchange& ex);
+  /// Retry after the backoff (`hint_ms` > 0: a shed's hint instead of the
+  /// exponential schedule), or finish when no attempt or budget is left.
+  void retry_after(Exchange& ex, std::uint64_t hint_ms = 0);
   void finish(Exchange& ex);
   void on_conn_event(Conn& conn, std::uint32_t events);
   /// Write pending output; false on a transport error (conn still open).
@@ -89,6 +103,7 @@ class ExchangePool {
   Client::RetryPolicy policy_;
   std::size_t idle_per_port_;
   scope::Gauge* open_connections_;
+  FaultInjector* faults_ = nullptr;
   Prng jitter_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Exchange>> live_;

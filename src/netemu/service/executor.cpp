@@ -221,7 +221,8 @@ void QueryExecutor::execute(const Query& q,
   }
 
   const std::uint64_t cost = guard::query_cost(q);
-  const std::string client = q.client.empty() ? std::string("anon") : q.client;
+  const std::string client =
+      q.client.empty() ? std::string(guard::kAnonymousClient) : q.client;
 
   Response response;
   std::shared_ptr<Flight> flight;
@@ -398,7 +399,7 @@ void QueryExecutor::run_flight(const std::shared_ptr<Flight>& flight,
   }
   // A failed recompute falls back to the previous cached value so a
   // transient planner fault degrades to slightly-stale instead of down.
-  if (!computed.ok && options_.serve_stale_on_error) {
+  if (!computed.ok) {
     if (auto stale = cache_.get(key)) {
       computed.ok = true;
       computed.stale = true;

@@ -36,8 +36,8 @@
 //    cancel_trace (the {"op":"cancel"} verb) all convert to real compute
 //    cancellation, and begin_drain() sheds new work while cancel_all()
 //    reclaims what is still running;
-//  * serve_stale_on_error: a recompute (refresh=true) that fails falls back
-//    to the previous cached value, marked stale, instead of erroring;
+//  * serve-stale: a recompute (refresh=true) that fails falls back to the
+//    previous cached value, marked stale, instead of erroring;
 //  * Options::faults routes worker stalls from a FaultInjector into the
 //    compute path, so chaos tests exercise all of the above.
 
@@ -104,9 +104,6 @@ class QueryExecutor {
     /// hint scales with backlog depth x observed drain rate (clamped),
     /// so a deep backlog tells clients to wait longer than a shallow one.
     std::uint64_t retry_after_hint_ms = 50;
-    /// When a forced recompute fails, serve the previous cached value
-    /// (marked stale) instead of the error.
-    bool serve_stale_on_error = true;
     /// Fault injector for chaos testing (worker stalls + cache disk
     /// faults).  Not owned; must outlive the executor.  nullptr disables.
     FaultInjector* faults = nullptr;

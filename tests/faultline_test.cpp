@@ -635,6 +635,59 @@ TEST(ClientRetry, SurvivesServerSideConnectionDrops) {
   server.stop();
 }
 
+TEST(ClientRetry, SurvivesClientSideInjectedFaults) {
+  // Faults on the client's own sends and reads only, against a clean
+  // server: drops are retried and short transfers resumed.  A short read
+  // taken for a drained socket would stall each request until its 5 s
+  // attempt timer, so all 40 must also finish well inside that.
+  auto plan = FaultPlan::parse("seed=33,drop=0.1,partial=0.3");
+  ASSERT_TRUE(plan.has_value());
+  FaultInjector injector(*plan);
+
+  QueryExecutor::Options options;
+  options.threads = 2;
+  options.compute = [](const Query& q, const CancelToken&) {
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor executor(std::move(options));
+  Server::Options server_options;
+  server_options.port = 0;
+  Server server(executor_line_handler(executor), server_options);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  Client::RetryPolicy policy;
+  policy.max_attempts = 12;
+  policy.base_backoff_ms = 1;
+  policy.max_backoff_ms = 20;
+  policy.attempt_timeout_ms = 5000;
+  policy.jitter_seed = 78;
+  Client client(policy);
+  client.set_fault_injector(&injector);
+  client.set_target(server.port());
+
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 40; ++i) {
+    Json q = Json::object();
+    q["op"] = "bandwidth";
+    q["family"] = "Mesh";
+    q["k"] = 2;
+    q["n"] = 2000 + i;
+    const auto doc = client.request(q, &error);
+    ASSERT_TRUE(doc.has_value()) << error << " at i=" << i;
+    EXPECT_TRUE((*doc)["ok"].as_bool()) << (*doc)["error"].as_string();
+    EXPECT_DOUBLE_EQ((*doc)["result"]["n"].as_number(), 2000 + i);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  const FaultInjector::Counts counts = injector.counts();
+  EXPECT_GT(counts.drops, 0u);
+  EXPECT_GT(counts.shorts, 0u);
+  EXPECT_GT(client.retries(), 0u);
+  server.stop();
+}
+
 TEST(ClientRetry, HonorsOverloadedRetryAfterHint) {
   auto started = std::make_shared<std::promise<void>>();
   auto gate = std::make_shared<std::promise<void>>();

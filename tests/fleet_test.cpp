@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -595,6 +596,65 @@ TEST(FleetRouter, ARaceSpendsOneDeadlineBudget) {
   EXPECT_LT(ms, 200);              // within 2 x deadline_ms
   gate.set_value();
   for (auto& server : servers) server->stop();
+}
+
+TEST(FleetRouter, AShedFailsOverAtOnce) {
+  // The router turns its exchanges' shed retries off: a shed from the
+  // owner fails over to the next backend at once, instead of waiting out
+  // the owner's 1000 ms hint (which the backoff cap below would allow).
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto first = std::make_shared<std::atomic<bool>>(true);
+  QueryExecutor::Options eo;
+  eo.max_queue = 1;
+  eo.retry_after_hint_ms = 1000;
+  eo.compute = [first, opened](const Query& q, const CancelToken& token) {
+    if (first->exchange(false)) opened.wait_for(std::chrono::seconds(5));
+    return plan_query(q, nullptr, token);
+  };
+  QueryExecutor owner_exec(std::move(eo));
+  Server::Options so;
+  so.port = 0;
+  Server owner(executor_line_handler(owner_exec), so);
+  std::string error;
+  ASSERT_TRUE(owner.start(&error)) << error;
+  TestBackend other;
+  auto options = fast_router_options({owner.port(), other.start()});
+  options.client.max_backoff_ms = 2000;
+  FleetRouter router(options);
+
+  // Two keys backend 0 owns: one fills its single slot, one is shed.
+  std::vector<Json> owned;
+  for (int n = 9600; owned.size() < 2 && n < 9800; ++n) {
+    if (router.rank_for(bandwidth_query(n))[0] == 0) {
+      owned.push_back(bandwidth_query(n));
+    }
+  }
+  ASSERT_EQ(owned.size(), 2u);
+  auto occupier = std::async(std::launch::async, [&] {
+    Client c;
+    std::string response;
+    return c.connect(owner.port()) &&
+           c.request_raw(owned[0].dump(), response);
+  });
+  for (int i = 0; i < 1000 && owner_exec.pending() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(owner_exec.pending(), 1u);
+
+  const auto start = std::chrono::steady_clock::now();
+  const FleetRouter::Result r = router.request(owned[1]);
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  gate.set_value();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.doc["ok"].as_bool());
+  EXPECT_EQ(r.backend, 1u);
+  EXPECT_EQ(r.backends_tried, 2);
+  EXPECT_LT(ms, 300);
+  EXPECT_EQ(router.stats().backends[0].shed, 1u);
+  EXPECT_TRUE(occupier.get());
 }
 
 TEST(FleetRouter, ServerSideErrorsAreAuthoritativeNoFailover) {

@@ -46,6 +46,14 @@ Query estimate_query(double n, unsigned trials) {
   return q;
 }
 
+/// A 1-trial estimate from a named client: a hold needs an identity that
+/// one caller owns, and an unnamed query shares the anonymous one.
+Query greedy_query(double n) {
+  Query q = estimate_query(n, 1);
+  q.client = "greedy";
+  return q;
+}
+
 // A guard as a one-worker QueryExecutor builds it: the default max_queue
 // count cap and the default 50 ms first retry hint.
 constexpr std::size_t kMaxFlights = 64;
@@ -375,8 +383,6 @@ TEST(GuardAimd, LimitTracksTheLatencyTarget) {
   guard::Options opts;
   opts.cost_budget = 100;
   opts.target_p95_ms = 10.0;
-  opts.adjust_interval_ms = 100;
-  opts.adjust_min_samples = 8;
   opts.clock_ms = [&now] { return now; };
   guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
   EXPECT_EQ(guard.effective_limit(), 100u);
@@ -413,14 +419,12 @@ TEST(GuardAimd, ThinWindowsAndKillSwitchHoldTheLimit) {
   scope::Registry metrics;
   guard::Options opts;
   opts.cost_budget = 100;
-  opts.adjust_interval_ms = 100;
-  opts.adjust_min_samples = 8;
   opts.clock_ms = [&now] { return now; };
 
   {
     guard::Guard guard(opts, metrics, kMaxFlights, kWorkers, kRetryAfterMs);
     now = 150;
-    for (int i = 0; i < 3; ++i) {  // 3 < min_samples
+    for (int i = 0; i < 3; ++i) {  // 3 < the 8 flights a vote needs
       guard.admit("a", closed_form_query(), 1);
       guard.complete("a", 1, -1.0, 900.0);
     }
@@ -707,19 +711,19 @@ TEST(ExecutorGuard, AHeldClientsShedAnswersWhenItsHoldEnds) {
   QueryExecutor exec(options);
 
   Response first;
-  std::thread leader([&] { first = exec.execute(estimate_query(64, 1)); });
+  std::thread leader([&] { first = exec.execute(greedy_query(64)); });
   ASSERT_TRUE(eventually([&] { return exec.pending() == 1; }));
 
   // The same client asks again while its flight fills the budget: shed at
   // once with the 200 ms hint, which starts a hold...
   auto t0 = steady_clock::now();
-  const Response first_shed = exec.execute(estimate_query(65, 1));
+  const Response first_shed = exec.execute(greedy_query(65));
   EXPECT_TRUE(first_shed.overloaded);
   EXPECT_EQ(first_shed.retry_after_ms, 200u);
   EXPECT_LT(steady_clock::now() - t0, milliseconds(150));
   // ...and asking again inside it is answered when the hold ends.
   t0 = steady_clock::now();
-  const Response held = exec.execute(estimate_query(66, 1));
+  const Response held = exec.execute(greedy_query(66));
   EXPECT_TRUE(held.overloaded);
   EXPECT_GE(steady_clock::now() - t0, milliseconds(100));
   // A client holding no work is shed at once.
@@ -756,11 +760,11 @@ TEST(ExecutorGuard, HeldShedsAnswerWhenTheExecutorStops) {
   auto exec = std::make_unique<QueryExecutor>(options);
 
   Response first;
-  std::thread leader([&] { first = exec->execute(estimate_query(64, 1)); });
+  std::thread leader([&] { first = exec->execute(greedy_query(64)); });
   ASSERT_TRUE(eventually([&] { return exec->pending() == 1; }));
-  EXPECT_TRUE(exec->execute(estimate_query(65, 1)).overloaded);  // holds
+  EXPECT_TRUE(exec->execute(greedy_query(65)).overloaded);  // holds
   std::promise<Response> held;
-  exec->execute(estimate_query(66, 1),
+  exec->execute(greedy_query(66),
                 [&held](Response r) { held.set_value(std::move(r)); });
   std::future<Response> answer = held.get_future();
   EXPECT_EQ(answer.wait_for(std::chrono::milliseconds(50)),
@@ -775,6 +779,48 @@ TEST(ExecutorGuard, HeldShedsAnswerWhenTheExecutorStops) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
   EXPECT_TRUE(first.ok) << first.error;
   EXPECT_TRUE(answer.get().overloaded);
+}
+
+TEST(ExecutorGuard, AnonymousCallersAreNeverHeld) {
+  // In-process callers that name no client share one identity: a hold on
+  // it would stall every one of them for a shed only one of them earned.
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  QueryExecutor::Options options;
+  options.threads = 1;
+  options.retry_after_hint_ms = 200;
+  options.guard.cost_budget = 1;  // one closed-form unit fills the gate
+  options.guard.adaptive = false;
+  auto gate = std::make_shared<std::promise<void>>();
+  const std::shared_future<void> gate_future = gate->get_future().share();
+  options.compute = [gate_future](const Query& q, const CancelToken&) {
+    gate_future.wait();
+    Json doc = Json::object();
+    doc["n"] = q.n;
+    return doc;
+  };
+  QueryExecutor exec(options);
+
+  Response first;
+  std::thread leader([&] { first = exec.execute(estimate_query(64, 1)); });
+  ASSERT_TRUE(eventually([&] { return exec.pending() == 1; }));
+
+  // An anonymous query asked while the anonymous leader fills the budget
+  // is shed at once with the 200 ms hint...
+  auto t0 = steady_clock::now();
+  const Response shed = exec.execute(estimate_query(65, 1));
+  EXPECT_TRUE(shed.overloaded);
+  EXPECT_EQ(shed.retry_after_ms, 200u);
+  EXPECT_LT(steady_clock::now() - t0, milliseconds(150));
+  // ...and so is the next: that shed started no hold to wait out.
+  t0 = steady_clock::now();
+  const Response again = exec.execute(estimate_query(66, 1));
+  EXPECT_TRUE(again.overloaded);
+  EXPECT_LT(steady_clock::now() - t0, milliseconds(150));
+
+  gate->set_value();
+  leader.join();
+  EXPECT_TRUE(first.ok) << first.error;
 }
 
 TEST(ExecutorGuard, WatchdogAbandonmentReleasesTheCharge) {

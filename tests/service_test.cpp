@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <thread>
@@ -1195,6 +1196,72 @@ TEST(ServerChurn, SequentialConnectionsStayBounded) {
   EXPECT_LT(rss_after_kb - rss_before_kb, 128 * 1024)
       << "RSS grew by " << (rss_after_kb - rss_before_kb) << " kB over "
       << kChurn << " connections";
+}
+
+// ------------------------------------------------------ client resources --
+
+/// What /proc/self/fd holds of the clients of `port`: sockets whose peer
+/// is that port (the in-process server's ends have it as their local port
+/// instead) and epoll instances.
+struct ClientFds {
+  int sockets = 0;
+  int epolls = 0;
+};
+ClientFds client_fds(std::uint16_t port) {
+  ClientFds out;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd", ec)) {
+    const std::string target =
+        std::filesystem::read_symlink(entry.path(), ec).string();
+    if (target == "anon_inode:[eventpoll]") {
+      ++out.epolls;
+    } else if (target.rfind("socket:", 0) == 0) {
+      const int fd = std::atoi(entry.path().filename().c_str());
+      sockaddr_in peer{};
+      socklen_t len = sizeof(peer);
+      if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+          peer.sin_family == AF_INET && ntohs(peer.sin_port) == port) {
+        ++out.sockets;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ClientResources, TheFirstRequestBuildsTheLoopAndNoThread) {
+  // connection_storm parks thousands of raw clients against RLIMIT_NOFILE:
+  // a client that only speaks raw costs its one socket, and the reactor
+  // behind request() is built by the first request, on the caller's thread.
+  EchoServer s;
+  ASSERT_TRUE(s.started);
+  const std::uint16_t port = s.server->port();
+  {  // every lazily started thread exists before the baseline
+    RawConn warm(port);
+    ASSERT_TRUE(warm.send_all("{\"op\":\"ping\"}\n"));
+    EXPECT_FALSE(warm.read_line().empty());
+  }
+  const ClientFds before = client_fds(port);
+  const long threads_before = proc_status_value("Threads:");
+
+  Client client;
+  ASSERT_TRUE(client.connect(port));
+  std::string response;
+  ASSERT_TRUE(client.request_raw(R"({"op":"ping"})", response));
+  ClientFds now = client_fds(port);
+  EXPECT_EQ(now.sockets, before.sockets + 1);
+  EXPECT_EQ(now.epolls, before.epolls);
+
+  for (int i = 0; i < 3; ++i) {
+    std::string error;
+    const auto pong = client.request(Json::parse(R"({"op":"ping"})"), &error);
+    ASSERT_TRUE(pong.has_value()) << error;
+    EXPECT_TRUE((*pong)["ok"].as_bool());
+  }
+  now = client_fds(port);
+  EXPECT_EQ(now.sockets, before.sockets + 2);  // the raw one, one pooled
+  EXPECT_EQ(now.epolls, before.epolls + 1);
+  EXPECT_EQ(proc_status_value("Threads:"), threads_before);
 }
 
 // ------------------------------------------------- backpressure + guard --
