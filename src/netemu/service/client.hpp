@@ -1,23 +1,14 @@
 #pragma once
 // Client for the planner daemon.  Not thread-safe: one caller at a time.
 //
-// request() and request_outcome() run one ExchangePool exchange
-// (service/exchange.hpp, the one retry engine) on a Reactor this client
-// owns and turns on the calling thread until the outcome is in.  So they
-// retry transport failures (connection drops, torn responses, attempt
-// timeouts) on a fresh connection with exponential backoff + deterministic
-// jitter, and retry the server's "overloaded" sheds after their
-// retry_after_ms hint.  Retrying is safe because every query op is
-// idempotent — results are content-addressed, so a request whose response
-// was lost re-reads the same address.  A refused connection is the
-// exception: the backend process is down, so the request fails fast
-// (kConnectRefused, no backoff) and lets the caller — typically a
-// FleetRouter — fail over to another backend.
-//
-// Deadline budget: a request document carrying "deadline_ms" gets ONE
-// budget for the whole request — retries included.  Every backoff and every
-// attempt's timeout draws from what is left of that window, and retrying
-// stops when the budget is spent.
+// request() and request_outcome() run one ExchangePool exchange on a
+// Reactor this client owns and turns on the calling thread until the
+// outcome is in.  service/exchange.hpp, the one retry engine, has the
+// rules: backoff and shed hints, the refused-connect fast fail, and the
+// one deadline budget a request's "deadline_ms" gives all its attempts.
+// Retrying is safe because every query op is idempotent — results are
+// content-addressed, so a request whose response was lost re-reads the
+// same address.
 //
 // The reactor and its one pooled connection are built by the first
 // request*, never for a client that only speaks raw: connect() and
